@@ -8,6 +8,20 @@
 # first:
 #   scripts/bit_identity.sh --save /tmp/identity_ref     # before the change
 #   scripts/bit_identity.sh --check /tmp/identity_ref    # after rebuilding
+#
+# --golden compares each output's sha256 against the committed digests in
+# scripts/bit_identity.sha256, so a change that alters behaviour
+# deterministically fails without a saved reference. The digests hold for
+# x86-64 GCC builds (Release or RelWithDebInfo) against glibc's libm; another
+# compiler, -ffast-math, -march flags that enable FMA contraction, or a
+# different libm may legitimately print different floating-point digits.
+# Regenerate them only for an intended behaviour change, and say so in the
+# commit:
+#   scripts/bit_identity.sh --save /tmp/identity_ref
+#   (cd /tmp/identity_ref && sha256sum chaos.json chaos_corruption.json \
+#      fig19_starkh20.json fig19_sparkh30.json overload.json \
+#      tail_tolerance.json remote_memory.json auto_cache.json) \
+#      > scripts/bit_identity.sha256
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
@@ -18,7 +32,10 @@ if [ "${1:-}" = "--save" ] && [ -n "${2:-}" ]; then
   MODE="save"; REF_DIR="$2"
 elif [ "${1:-}" = "--check" ] && [ -n "${2:-}" ]; then
   MODE="check"; REF_DIR="$2"
+elif [ "${1:-}" = "--golden" ]; then
+  MODE="golden"
 fi
+GOLDEN="scripts/bit_identity.sha256"
 
 # name -> command line (stdout is the artifact under test)
 declare -A SCENARIOS=(
@@ -60,6 +77,16 @@ for name in chaos chaos_corruption fig19_starkh20 fig19_sparkh30 overload tail_t
       else
         echo "bit_identity: FAIL $name differs from $REF_DIR/$name.json" >&2
         diff <(head -c 2000 "$REF_DIR/$name.json") <(head -c 2000 "$out") | head -20 >&2
+        fail=1
+      fi
+      ;;
+    golden)
+      want=$(awk -v f="$name.json" '$2 == f { print $1 }' "$GOLDEN")
+      got=$(sha256sum < "$out" | cut -d' ' -f1)
+      if [ -n "$want" ] && [ "$got" = "$want" ]; then
+        echo "bit_identity: $name matches the golden digest"
+      else
+        echo "bit_identity: FAIL $name sha256 $got, golden ${want:-missing}" >&2
         fail=1
       fi
       ;;

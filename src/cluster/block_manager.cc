@@ -57,7 +57,17 @@ bool BlockManager::is_corrupt(const BlockId& id) const noexcept {
   return it != blocks_.end() && it->second.corrupted;
 }
 
-void BlockManager::touch(const BlockId& id) { policy_->on_touch(id); }
+void BlockManager::touch(const BlockId& id) {
+  const auto it = blocks_.find(id);
+  if (it != blocks_.end()) policy_->on_touch(it->second.recency);
+}
+
+BlockManager::Read BlockManager::read(const BlockId& id) {
+  const auto it = blocks_.find(id);
+  if (it == blocks_.end()) return Read::kAbsent;
+  policy_->on_touch(it->second.recency);
+  return it->second.corrupted ? Read::kCorrupt : Read::kClean;
+}
 
 bool BlockManager::pin(const BlockId& id) {
   const auto it = blocks_.find(id);
@@ -122,8 +132,8 @@ BlockManager::InsertResult BlockManager::insert(const BlockId& id,
       evict(*victim);
     }
     if (used_ + bytes > capacity_) return result;  // defensive (see above)
-    policy_->on_insert(id, bytes, recompute_cost);
-    blocks_.emplace(id, Entry{bytes, spill_on_evict, false, 0});
+    blocks_.emplace(id, Entry{bytes, spill_on_evict, false, 0, 0,
+                              policy_->on_insert(id, bytes, recompute_cost)});
     used_ += bytes;
     result.stored = true;
     return result;
@@ -169,8 +179,8 @@ BlockManager::InsertResult BlockManager::insert(const BlockId& id,
     evict(*victim);
   }
   if (used_ + bytes > capacity_) return result;
-  policy_->on_insert(id, bytes, recompute_cost);
-  blocks_.emplace(id, Entry{bytes, spill_on_evict, false, 0, tenant});
+  blocks_.emplace(id, Entry{bytes, spill_on_evict, false, 0, tenant,
+                            policy_->on_insert(id, bytes, recompute_cost)});
   used_ += bytes;
   charge_tenant(tenant, bytes);
   result.stored = true;

@@ -57,6 +57,11 @@ class BlockManager {
   // Marks the block most-recently-used.
   void touch(const BlockId& id);
 
+  // A cached read in one lookup: kAbsent when the block is not stored;
+  // otherwise marks it most-recently-used and reports its integrity tag.
+  enum class Read { kAbsent, kClean, kCorrupt };
+  Read read(const BlockId& id);
+
   // Pinning: a pinned block is never an eviction victim (running tasks pin
   // the blocks their plan reads). Pins nest — pin() increments a per-block
   // count, unpin() decrements it. Both return false (and change nothing)
@@ -123,6 +128,7 @@ class BlockManager {
     bool corrupted = false;
     int pins = 0;
     TenantId tenant = 0;  // quota owner; meaningful only with quotas on
+    EvictionPolicy::Handle recency{};  // this block's node in policy_
   };
   // Quota helpers (see CachePolicyOptions::tenant_quota_fractions).
   double quota_fraction(TenantId tenant) const noexcept;

@@ -15,15 +15,16 @@ Cluster::Cluster(const ClusterConfig& config) : config_(config) {
   disk_store_.resize(static_cast<std::size_t>(config.num_servers));
   disk_used_.resize(static_cast<std::size_t>(config.num_servers), 0.0);
   // Every server's store shares this cluster's lineage refcounts (the kLrc
-  // feed). The lambda captures `this`; Cluster is neither copied nor moved
-  // after construction (Context holds it by value, tests on the stack).
+  // feed) and every server updates tally_. Both point into `this`, which
+  // is why Cluster is neither copyable nor movable.
   LineageRefcountFn refcount;
   if (config.cache.policy == EvictionPolicyKind::kLrc) {
     refcount = [this](DatasetId id) { return lineage_refcount(id); };
   }
   for (int i = 0; i < config.num_servers; ++i) {
     servers_.push_back(
-        std::make_unique<Server>(i, config.server, config.cache, refcount));
+        std::make_unique<Server>(i, config.server, config.cache, refcount,
+                                 &tally_));
   }
   if (config.remote_memory.enabled) {
     // The pool's demotion policy reads the same lineage-refcount channel
@@ -186,10 +187,6 @@ void Cluster::remove_block_everywhere(const BlockId& id) {
   if (remote_) remote_->remove(id);
 }
 
-void Cluster::touch_block(ServerId s, const BlockId& id) {
-  server(s).storage().touch(id);
-}
-
 void Cluster::pin_block(ServerId s, const BlockId& id) {
   server(s).storage().pin(id);
 }
@@ -260,14 +257,6 @@ std::vector<ServerId> Cluster::rack_members(int rack) const {
     if (rack_of(srv->id()) == rack) out.push_back(srv->id());
   }
   return out;
-}
-
-int Cluster::total_free_cores() const noexcept {
-  int n = 0;
-  for (const auto& srv : servers_) {
-    if (srv->alive()) n += srv->free_cores();
-  }
-  return n;
 }
 
 std::vector<ServerId> Cluster::alive_servers() const {

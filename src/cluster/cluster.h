@@ -39,6 +39,9 @@ struct ClusterConfig {
 class Cluster {
  public:
   explicit Cluster(const ClusterConfig& config);
+  // Servers and the kLrc feed point back into this object.
+  Cluster(const Cluster&) = delete;
+  Cluster& operator=(const Cluster&) = delete;
 
   int size() const noexcept { return static_cast<int>(servers_.size()); }
   // Inline: the schedulers call these on every offer, so the lookup must
@@ -132,7 +135,12 @@ class Cluster {
   void remove_block(ServerId s, const BlockId& id);
   void remove_block_everywhere(const BlockId& id);
 
-  void touch_block(ServerId s, const BlockId& id);
+  // A cached read of the RAM copy on s (see BlockManager::read): one
+  // store lookup answers presence and the integrity tag and refreshes the
+  // copy's recency. kAbsent exactly when cached_on(id, s) is false.
+  BlockManager::Read read_cached_block(ServerId s, const BlockId& id) {
+    return server(s).storage().read(id);
+  }
 
   // Failure injection: kills the server and forgets its blocks. Both calls
   // are idempotent; the return value says whether the state changed.
@@ -152,7 +160,10 @@ class Cluster {
   int num_racks() const noexcept;
   std::vector<ServerId> rack_members(int rack) const;
 
-  int total_free_cores() const noexcept;
+  // Free cores on alive servers and the number of alive servers: counters
+  // the servers keep current (CoreTally), so reading them is O(1).
+  int total_free_cores() const noexcept { return tally_.free_cores; }
+  int alive_count() const noexcept { return tally_.alive_servers; }
   std::vector<ServerId> alive_servers() const;
   // Servers the driver can actually use: alive and not partitioned away.
   std::vector<ServerId> reachable_servers() const;
@@ -202,6 +213,7 @@ class Cluster {
   };
 
   ClusterConfig config_;
+  CoreTally tally_;
   std::vector<std::unique_ptr<Server>> servers_;
   std::unordered_map<BlockId, std::vector<ServerId>, BlockIdHash> index_;
   std::vector<std::unordered_map<BlockId, SpilledBlock, BlockIdHash>>

@@ -30,17 +30,19 @@ void CachePolicyOptions::validate() const {
   }
 }
 
-void EvictionPolicy::on_insert(const BlockId& id, Bytes bytes,
-                               double recompute_cost) {
+EvictionPolicy::Handle EvictionPolicy::on_insert(const BlockId& id,
+                                                 Bytes bytes,
+                                                 double recompute_cost) {
   on_remove(id);  // resize-or-insert: never two nodes for one id
   recency_.push_front(Node{id, bytes, recompute_cost});
   index_.emplace(id, recency_.begin());
+  return recency_.begin();
 }
 
 void EvictionPolicy::on_touch(const BlockId& id) {
   const auto it = index_.find(id);
   if (it == index_.end()) return;
-  recency_.splice(recency_.begin(), recency_, it->second);
+  on_touch(it->second);
 }
 
 void EvictionPolicy::on_remove(const BlockId& id) {

@@ -110,7 +110,19 @@ struct CachePolicyOptions {
 // implement the victim scan. Not copyable; owned by the BlockManager via
 // make_eviction_policy().
 class EvictionPolicy {
+ protected:
+  struct Node {
+    BlockId id;
+    Bytes bytes = 0.0;
+    double recompute_cost = 0.0;
+  };
+
  public:
+  // A block's place in the recency list, from on_insert; stays valid until
+  // that block is removed or cleared. A store that keeps it next to its
+  // own entry refreshes recency without a second hash lookup.
+  using Handle = std::list<Node>::iterator;
+
   virtual ~EvictionPolicy() = default;
 
   virtual EvictionPolicyKind kind() const noexcept = 0;
@@ -119,8 +131,10 @@ class EvictionPolicy {
   // block as most-recently-used with its in-memory footprint and the
   // planner's recompute-cost estimate (seconds; 0 = unknown). All four are
   // no-ops / idempotent for absent ids.
-  void on_insert(const BlockId& id, Bytes bytes, double recompute_cost);
+  Handle on_insert(const BlockId& id, Bytes bytes, double recompute_cost);
   void on_touch(const BlockId& id);
+  // on_touch for a block whose handle the caller holds.
+  void on_touch(Handle h) { recency_.splice(recency_.begin(), recency_, h); }
   void on_remove(const BlockId& id);
   void on_clear();
 
@@ -143,11 +157,6 @@ class EvictionPolicy {
       const std::function<bool(const BlockId&)>& pinned) const = 0;
 
  protected:
-  struct Node {
-    BlockId id;
-    Bytes bytes = 0.0;
-    double recompute_cost = 0.0;
-  };
   // front = most recently used. Victim scans walk from the back so every
   // policy resolves ties in LRU order.
   std::list<Node> recency_;

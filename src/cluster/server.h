@@ -15,6 +15,14 @@ struct ServerConfig {
   double storage_fraction = 0.6;
 };
 
+// Cluster-wide core accounting that every Server of one Cluster keeps
+// current from acquire_core/release_core/kill/restart, so the schedulers
+// read the totals instead of rescanning the servers. Owned by the Cluster.
+struct CoreTally {
+  int free_cores = 0;     // free cores summed over alive servers
+  int alive_servers = 0;
+};
+
 // Gray-failure mode: multipliers on the simulated time a task spends on
 // each resource while running on this server. 1.0 everywhere = healthy.
 struct ServerDegradation {
@@ -29,11 +37,13 @@ struct ServerDegradation {
 class Server {
  public:
   // `cache` selects the block store's eviction policy (default LRU) and
-  // `lineage_refcount` feeds its kLrc variant (may be empty); both default
-  // so tests can construct bare servers unchanged.
+  // `lineage_refcount` feeds its kLrc variant (may be empty); `tally`
+  // (may be null) is the owning Cluster's core accounting. All default so
+  // tests can construct bare servers unchanged.
   Server(ServerId id, const ServerConfig& config,
          const CachePolicyOptions& cache = {},
-         LineageRefcountFn lineage_refcount = nullptr);
+         LineageRefcountFn lineage_refcount = nullptr,
+         CoreTally* tally = nullptr);
 
   ServerId id() const noexcept { return id_; }
   int cores() const noexcept { return config_.cores; }
@@ -60,6 +70,8 @@ class Server {
 
   int free_cores() const noexcept { return free_cores_; }
   bool has_free_core() const noexcept { return alive_ && free_cores_ > 0; }
+  // Both throw std::logic_error on a dead server or when no core is
+  // held / free, so the cluster tally can never drift silently.
   void acquire_core();
   void release_core();
 
@@ -86,7 +98,8 @@ class Server {
   double heap_utilization(Bytes task_working_set) const noexcept;
 
   // Failure handling: a dead server has no cores and loses its blocks
-  // (the Cluster drops them from the index).
+  // (the Cluster drops them from the index). kill() on a dead server is a
+  // no-op for the tally; restart() on a live one frees every core.
   void kill() noexcept;
   void restart() noexcept;
 
@@ -100,6 +113,7 @@ class Server {
   ServerDegradation degradation_;
   Bytes active_working_set_ = 0.0;
   double busy_seconds_ = 0.0;
+  CoreTally* tally_ = nullptr;
   std::unique_ptr<BlockManager> storage_;
 };
 

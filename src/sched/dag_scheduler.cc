@@ -82,7 +82,8 @@ DagScheduler::DagScheduler(sim::Simulation& sim, Cluster& cluster,
   // lineage recompute rewrote it clean: the corruption is repaired.
   cluster.add_block_observer(
       [this](ServerId, const BlockId& id, bool inserted) {
-        if (inserted && pending_block_repair_.erase(id) > 0) {
+        if (inserted && !pending_block_repair_.empty() &&
+            pending_block_repair_.erase(id) > 0) {
           ++stats_.corruptions_repaired;
         }
       });
@@ -449,12 +450,19 @@ void DagScheduler::maybe_launch(StageRun& stage) {
     if (outs.size() != units.size()) {
       outs.assign(units.size(), kInvalidId);
     }
-    // One probe for the corruption shadow instead of one per unit.
-    auto& corr = corrupt_flags(stage.output->key(), units.size());
+    // One probe for the corruption shadow instead of one per unit, and
+    // none while no shuffle output was ever corrupted (an absent entry
+    // reads as all-clean).
+    std::vector<char>* corr = nullptr;
+    if (const auto cit = map_output_corrupt_.find(stage.output->key());
+        cit != map_output_corrupt_.end()) {
+      corr = &cit->second;
+      if (corr->size() != units.size()) corr->assign(units.size(), 0);
+    }
     for (std::size_t i = 0; i < units.size(); ++i) {
       if (output_host_healthy(outs[i])) continue;
       outs[i] = kInvalidId;
-      corr[i] = 0;
+      if (corr != nullptr) (*corr)[i] = 0;
       todo.push_back(i);
     }
     if (todo.empty()) {
@@ -1108,9 +1116,12 @@ void DagScheduler::plan_chain(const DatasetPtr& ds, int partition,
     e.bytes = probe_bytes;
     tracer_->emit(e);
   };
-  if (cluster_->cached_on(bid, server)) {
+  // One store lookup answers presence and the integrity tag, and refreshes
+  // recency (harmless on a copy the verified read then drops).
+  const BlockManager::Read cached = cluster_->read_cached_block(server, bid);
+  if (cached != BlockManager::Read::kAbsent) {
     const Bytes stored = serialized ? bytes * cost_.serialization_ratio : bytes;
-    const bool corrupt = cluster_->cached_block_corrupt(server, bid);
+    const bool corrupt = cached == BlockManager::Read::kCorrupt;
     bool serve = true;
     if (options_.faults.verify_reads) {
       // Verified read: re-checksum the stored copy before trusting it.
@@ -1147,7 +1158,6 @@ void DagScheduler::plan_chain(const DatasetPtr& ds, int partition,
       // DAMON-style access sampling: served reads are the advisor's
       // recency/frequency evidence against auto-freeing this dataset.
       if (advisor_) advisor_->on_block_read(*ds, sim_->now());
-      cluster_->touch_block(server, bid);
       if (options_.cache.pin_running_blocks) {
         // The block must survive until this task releases it; the
         // TaskScheduler pins at launch and unpins at resource release.
@@ -1411,6 +1421,7 @@ TaskPlan DagScheduler::plan_task(const StageRun& stage, const TaskSpec& task,
       failed.fetch_failure = TaskPlan::FetchFailure{key, h};
       return failed;
     }
+    if (map_output_corrupt_.empty()) continue;
     const auto cit = map_output_corrupt_.find(key);
     if (cit == map_output_corrupt_.end()) continue;
     if (options_.faults.verify_reads) {
@@ -1468,7 +1479,7 @@ TaskPlan DagScheduler::plan_task(const StageRun& stage, const TaskSpec& task,
   // I/O times under contention: per-flow bandwidth shrinks once concurrent
   // flows outnumber NICs/spindles (average flows-per-server model).
   const double servers =
-      std::max(1.0, static_cast<double>(cluster_->alive_servers().size()));
+      std::max(1.0, static_cast<double>(cluster_->alive_count()));
   const double net_factor = std::max(
       1.0, (task_scheduler_.active_net_flows() + 1.0) / servers);
   const double disk_factor = std::max(

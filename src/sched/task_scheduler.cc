@@ -193,6 +193,29 @@ void TaskScheduler::rebuild_offer_cache() {
     offer_base_[static_cast<std::size_t>(s)] = 1;
     offer_servers_.push_back(s);
   }
+  free_servers_ = recompute_free_offer_servers();
+}
+
+std::vector<ServerId> TaskScheduler::recompute_free_offer_servers() const {
+  std::vector<ServerId> out;
+  for (ServerId s : offer_servers_) {
+    if (cluster_->server(s).free_cores() > 0) out.push_back(s);
+  }
+  return out;
+}
+
+void TaskScheduler::update_free_server(ServerId s) {
+  const auto it =
+      std::lower_bound(free_servers_.begin(), free_servers_.end(), s);
+  const bool listed = it != free_servers_.end() && *it == s;
+  const bool want = static_cast<std::size_t>(s) < offer_base_.size() &&
+                    offer_base_[static_cast<std::size_t>(s)] != 0 &&
+                    cluster_->server(s).free_cores() > 0;
+  if (want && !listed) {
+    free_servers_.insert(it, s);
+  } else if (!want && listed) {
+    free_servers_.erase(it);
+  }
 }
 
 bool TaskScheduler::offerable(ServerId s, const ActiveSet& set,
@@ -217,13 +240,6 @@ bool TaskScheduler::offerable(ServerId s, const ActiveSet& set,
   return true;
 }
 
-void TaskScheduler::refresh_sweep_candidates() {
-  sweep_candidates_.clear();
-  for (ServerId s : offer_servers_) {
-    if (cluster_->server(s).free_cores() > 0) sweep_candidates_.push_back(s);
-  }
-}
-
 ServerId TaskScheduler::pick_remote_server(const ActiveSet& set, int index,
                                            ServerId exclude) {
   if (options_.mcf) {
@@ -235,7 +251,7 @@ ServerId TaskScheduler::pick_remote_server(const ActiveSet& set, int index,
     bool best_avoid = false;
     int best_contention = 0;
     int best_free = -1;
-    for (ServerId s : sweep_candidates_) {
+    for (ServerId s : free_servers_) {
       if (s == exclude || !offerable(s, set, index)) continue;
       const bool avoid = slowness_ && slowness_->should_avoid(s, sim_->now());
       const Server& srv = cluster_->server(s);
@@ -255,7 +271,7 @@ ServerId TaskScheduler::pick_remote_server(const ActiveSet& set, int index,
   // Stock behaviour: all remote workers are treated equally — Spark
   // effectively scatters tasks (and hence cached partitions) randomly.
   pick_scratch_.clear();
-  for (ServerId s : sweep_candidates_) {
+  for (ServerId s : free_servers_) {
     if (s != exclude && offerable(s, set, index)) pick_scratch_.push_back(s);
   }
   if (pick_scratch_.empty()) return kInvalidId;
@@ -263,11 +279,17 @@ ServerId TaskScheduler::pick_remote_server(const ActiveSet& set, int index,
     // Drop believed-Degraded peers from the random draw unless every
     // candidate is degraded (then any of them beats not launching).
     const SimTime now = sim_->now();
-    const auto keep = std::stable_partition(
-        pick_scratch_.begin(), pick_scratch_.end(),
-        [&](ServerId s) { return !slowness_->should_avoid(s, now); });
-    if (keep != pick_scratch_.begin()) {
-      pick_scratch_.erase(keep, pick_scratch_.end());
+    const auto avoid = [&](ServerId s) {
+      return slowness_->should_avoid(s, now);
+    };
+    const auto first = std::find_if(pick_scratch_.begin(),
+                                    pick_scratch_.end(), avoid);
+    if (first != pick_scratch_.end()) {
+      const auto keep = std::stable_partition(first, pick_scratch_.end(),
+                                              std::not_fn(avoid));
+      if (keep != pick_scratch_.begin()) {
+        pick_scratch_.erase(keep, pick_scratch_.end());
+      }
     }
   }
   return pick_scratch_[placement_rng_.next_below(pick_scratch_.size())];
@@ -363,7 +385,6 @@ void TaskScheduler::schedule() {
   while (sweep_again) {
     sweep_again = false;
     rebuild_offer_cache();
-    refresh_sweep_candidates();
     // Executors the driver believes alive whose process is gone: the pass
     // below "sends" them launch RPCs that fail, which is how a real driver
     // discovers a crash ahead of the heartbeat timeout. Reported after the
@@ -470,6 +491,7 @@ void TaskScheduler::launch(const std::shared_ptr<ActiveSet>& set, int index,
                            bool speculative) {
   Server& srv = cluster_->server(server);
   srv.acquire_core();
+  if (srv.free_cores() == 0) update_free_server(server);
   if (node_local) set->locality_anchor = sim_->now();
   ++set->running;
   {
@@ -592,6 +614,7 @@ void TaskScheduler::release_run_resources(const RunningTask& run,
   // or restarted server already reset its slots.
   if (srv.alive() && srv.generation() == run.server_generation) {
     srv.release_core();
+    if (srv.free_cores() == 1) update_free_server(run.server);
     srv.remove_working_set(run.plan.working_set);
   }
   // Unpin the plan's referenced blocks. Safe unconditionally: a killed or
@@ -638,7 +661,6 @@ void TaskScheduler::maybe_speculate(const std::shared_ptr<ActiveSet>& set) {
   const double median = sorted[sorted.size() / 2];
   const double threshold = options_.speculation_multiplier * median;
   rebuild_offer_cache();  // pick_remote_server below reads the offer cache
-  refresh_sweep_candidates();
   // Snapshot: launching mutates runs_by_index.
   std::vector<std::pair<int, std::uint64_t>> candidates;
   for (std::size_t index = 0; index < set->runs_by_index.size(); ++index) {

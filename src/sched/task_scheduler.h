@@ -309,6 +309,15 @@ class TaskScheduler {
   // fair_share, so benches/tests can measure shares in either mode).
   int tenant_running_cores(TenantId tenant) const noexcept;
 
+  // Remote-placement candidates as maintained incrementally, and the same
+  // set recomputed from the offer cache. Equal after every sweep; a kill or
+  // restart in between is picked up by the next sweep's cache rebuild.
+  // Property tests compare them.
+  const std::vector<ServerId>& free_offer_servers() const noexcept {
+    return free_servers_;
+  }
+  std::vector<ServerId> recompute_free_offer_servers() const;
+
   std::size_t running_tasks() const noexcept { return running_.size(); }
   std::size_t pending_task_sets() const noexcept { return task_sets_.size(); }
   // Logical tasks completed (winning copies only), across all sets ever run.
@@ -396,9 +405,10 @@ class TaskScheduler {
   // Drops expired app-level exclusions (re-admission).
   void expire_exclusions();
   void arm_timer(SimTime at);
-  // Recomputes offer_servers_ / offer_base_ / probe_launch_failure_. Must
-  // run before offerable() / pick_remote_server(): once per scheduling
-  // sweep and on entry to maybe_speculate(). The inputs (liveness,
+  // Recomputes offer_servers_ / offer_base_ / probe_launch_failure_ /
+  // free_servers_. Must run before offerable() / pick_remote_server():
+  // once per scheduling sweep and on entry to maybe_speculate(). The
+  // inputs (liveness,
   // reachability, driver admission) only change between sweeps —
   // failure-detection callbacks are deferred past the sweep — so one
   // evaluation per server replaces one per (task, server) offer; the
@@ -407,13 +417,10 @@ class TaskScheduler {
   // exclusion is NOT cached (a verified read can quarantine an executor
   // mid-sweep); offerable() checks it live.
   void rebuild_offer_cache();
-  // Rebuilds sweep_candidates_: offerable servers that still had a free
-  // core when the current sweep started. Free cores only decrease within
-  // a sweep (completions are events; launch-failure callbacks are
-  // deferred), so servers skipped here could never accept a task anyway —
-  // pick_remote_server() iterates this list instead of every offerable
-  // server. Refresh alongside rebuild_offer_cache().
-  void refresh_sweep_candidates();
+  // Keeps free_servers_ equal to {s : offer_base_[s] && free_cores(s) > 0}
+  // after a core of `s` was taken or given back (launch /
+  // release_run_resources); rebuild_offer_cache() rebuilds it whole.
+  void update_free_server(ServerId s);
   // Ready-queue maintenance: a set is "ready" while it has pending task
   // indices to offer. mark_ready is idempotent; call it wherever pending
   // goes empty -> non-empty (submit, backoff expiry, executor-lost requeue,
@@ -499,7 +506,10 @@ class TaskScheduler {
   std::vector<char> offer_base_;
   std::vector<char> probe_launch_failure_;
   std::vector<ServerId> pick_scratch_;
-  std::vector<ServerId> sweep_candidates_;
+  // Offer-cache servers that have a free core, ascending id: the only
+  // servers pick_remote_server() can choose. Maintained per launch and
+  // release, so no sweep rescans the cluster for them.
+  std::vector<ServerId> free_servers_;
   std::function<std::uint64_t()> admission_epoch_;
   std::uint64_t offer_cache_key_ = 0;
   bool offer_cache_valid_ = false;

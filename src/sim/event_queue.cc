@@ -1,6 +1,7 @@
 #include "sim/event_queue.h"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -76,15 +77,25 @@ SimTime EventQueue::next_time() const {
 }
 
 EventQueue::Event EventQueue::pop() {
+  Event ev;
+  if (!pop_before(std::numeric_limits<SimTime>::infinity(), ev)) {
+    throw std::logic_error("EventQueue::pop on empty queue");
+  }
+  return ev;
+}
+
+bool EventQueue::pop_before(SimTime until, Event& out) {
   drop_stale();
-  if (heap_.empty()) throw std::logic_error("EventQueue::pop on empty queue");
+  if (heap_.empty() || !(heap_.front().time < until)) return false;
   std::pop_heap(heap_.begin(), heap_.end());
   const Item item = heap_.back();
   heap_.pop_back();
   Slot& s = slots_[item.slot];
-  Event ev{item.time, make_id(item.slot, s.gen), std::move(s.fn)};
+  out.time = item.time;
+  out.id = make_id(item.slot, s.gen);
+  out.fn = std::move(s.fn);
   release(item.slot);
-  return ev;
+  return true;
 }
 
 }  // namespace stark::sim

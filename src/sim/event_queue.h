@@ -44,11 +44,17 @@ class EventQueue {
 
   // Pops and returns the earliest pending event. Requires !empty().
   struct Event {
-    SimTime time;
-    EventId id;
+    SimTime time = 0.0;
+    EventId id = 0;
     EventFn fn;
   };
   Event pop();
+
+  // Pops the earliest pending event into `out` when it is due strictly
+  // before `until`; returns false (leaving the queue untouched) otherwise.
+  // The run loop's fused empty() + next_time() + pop(): stale entries are
+  // dropped once per event instead of three times.
+  bool pop_before(SimTime until, Event& out);
 
  private:
   // Sentinel occupant sequence for released slots; real sequences count up

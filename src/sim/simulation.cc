@@ -16,8 +16,8 @@ EventId Simulation::at(SimTime t, EventFn fn) {
 
 std::size_t Simulation::run(SimTime until) {
   std::size_t n = 0;
-  while (!queue_.empty() && queue_.next_time() < until) {
-    auto ev = queue_.pop();
+  EventQueue::Event ev;
+  while (queue_.pop_before(until, ev)) {
     now_ = ev.time;
     ev.fn();
     ++n;
@@ -31,8 +31,8 @@ std::size_t Simulation::run(SimTime until) {
 
 bool Simulation::run_until(const std::function<bool()>& pred) {
   if (pred()) return true;
-  while (!queue_.empty()) {
-    auto ev = queue_.pop();
+  EventQueue::Event ev;
+  while (queue_.pop_before(std::numeric_limits<SimTime>::infinity(), ev)) {
     now_ = ev.time;
     ev.fn();
     ++executed_;

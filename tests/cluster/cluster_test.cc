@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "common/rng.h"
+
 namespace stark {
 namespace {
 
@@ -93,6 +97,60 @@ TEST(Cluster, TotalFreeCores) {
   EXPECT_EQ(c.total_free_cores(), 7);
   c.kill_server(1);
   EXPECT_EQ(c.total_free_cores(), 5);
+}
+
+TEST(Cluster, CoreCountersMatchARecountUnderRandomFaults) {
+  // The free-core and alive counters are maintained by the servers; after
+  // every step of a seeded mix of acquire / release / kill / restart /
+  // partition they must equal a brute-force recount.
+  ClusterConfig cfg = small_cluster();
+  cfg.num_servers = 6;
+  cfg.server.cores = 3;
+  Cluster c(cfg);
+  Rng rng(20261017);
+  for (int step = 0; step < 5000; ++step) {
+    const auto s = static_cast<ServerId>(rng.next_below(6));
+    Server& srv = c.server(s);
+    switch (rng.next_below(10)) {
+      case 0: c.kill_server(s); break;
+      case 1: c.restart_server(s); break;
+      case 2: c.set_server_reachable(s, !srv.reachable()); break;
+      case 3: case 4: case 5:
+        if (srv.has_free_core()) {
+          srv.acquire_core();
+        } else {
+          EXPECT_THROW(srv.acquire_core(), std::logic_error);
+        }
+        break;
+      default:
+        if (srv.alive() && srv.free_cores() < srv.cores()) {
+          srv.release_core();
+        } else {
+          EXPECT_THROW(srv.release_core(), std::logic_error);
+        }
+        break;
+    }
+    int free_cores = 0;
+    int alive = 0;
+    for (ServerId i = 0; i < c.size(); ++i) {
+      if (!c.server(i).alive()) continue;
+      ++alive;
+      free_cores += c.server(i).free_cores();
+    }
+    ASSERT_EQ(c.total_free_cores(), free_cores) << "step " << step;
+    ASSERT_EQ(c.alive_count(), alive) << "step " << step;
+    ASSERT_EQ(static_cast<int>(c.alive_servers().size()), alive);
+  }
+}
+
+TEST(Server, ReleaseCoreOnDeadServerThrows) {
+  Server s(0, {.cores = 2, .ram = 100.0, .storage_fraction = 0.5});
+  s.acquire_core();
+  s.kill();
+  EXPECT_THROW(s.release_core(), std::logic_error);
+  EXPECT_THROW(s.acquire_core(), std::logic_error);
+  s.restart();
+  EXPECT_EQ(s.free_cores(), 2);
 }
 
 TEST(Cluster, TotalCachedBytes) {

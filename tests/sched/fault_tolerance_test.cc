@@ -3,6 +3,10 @@
 // re-admission, and deferred result delivery across partitions.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "api/chaos.h"
 #include "api/context.h"
 #include "trace/wiki.h"
 
@@ -153,6 +157,57 @@ TEST(FaultTolerance, StatsResetClearsEveryCounter) {
   EXPECT_EQ(s.executor_readmissions, 0);
   EXPECT_EQ(s.jobs_aborted, 0);
   EXPECT_EQ(s.mean_detection_latency(), 0.0);
+}
+
+TEST(FaultTolerance, FreeServerListMatchesARecountUnderChaos) {
+  // The TaskScheduler keeps its remote-placement candidates (offerable
+  // servers with a free core) up to date per launch and release instead of
+  // rescanning every sweep. Under kills, flaky tasks and exclusions, a
+  // sweep after every event must leave it equal to the set recomputed from
+  // the offer cache and the servers' free cores.
+  ContextOptions o = opts();
+  o.cluster.num_servers = 6;
+  Context ctx(o);
+  auto part = ctx.collection_partitioner(8, 256);
+  std::vector<DatasetPtr> inputs;
+  for (int i = 0; i < 2; ++i) {
+    inputs.push_back(
+        ctx.ingest("d" + std::to_string(i), hist(), part, "logs"));
+  }
+  ChaosInjector chaos(ctx, {.failures_per_hour = 1800.0,
+                            .mean_repair_seconds = 4.0,
+                            .min_alive = 2,
+                            .flaky_task_probability = 0.15,
+                            .seed = 23});
+  const SimTime t0 = ctx.sim().now();
+  chaos.start(t0, t0 + 100.0);
+  int finished = 0;
+  for (int q = 0; q < 40; ++q) {
+    ctx.sim().at(t0 + 2.5 * q, [&] {
+      auto cg = Dataset::cogroup(inputs, part);
+      ctx.dag().submit(cg->filter({.selectivity = 0.05}), ActionType::kCount,
+                       {}, [&](const JobResult&) { ++finished; });
+    });
+  }
+  TaskScheduler& tasks = ctx.dag().tasks();
+  int sweeps_checked = 0;
+  bool mismatch = false;
+  ctx.sim().run_until([&] {
+    tasks.schedule();
+    if (tasks.free_offer_servers() != tasks.recompute_free_offer_servers()) {
+      mismatch = true;
+      return true;
+    }
+    ++sweeps_checked;
+    return false;
+  });
+  EXPECT_FALSE(mismatch) << "after " << sweeps_checked << " sweeps";
+  EXPECT_EQ(finished, 40);
+  EXPECT_GT(chaos.kills(), 0);
+  const FailureStats& s = ctx.dag().failure_stats();
+  EXPECT_GT(s.task_failures, 0);
+  EXPECT_GT(s.executor_exclusions, 0);
+  EXPECT_GT(sweeps_checked, 1000);
 }
 
 }  // namespace
