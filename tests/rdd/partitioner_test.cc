@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <ostream>
+#include <string>
+
 #include "common/rng.h"
 #include "trace/wiki.h"
 
@@ -119,11 +123,19 @@ TEST(StaticRangePartitioner, SharedBoundsAreEqual) {
   EXPECT_TRUE(a->equals(plain));
 }
 
-class PartitionerContract
-    : public ::testing::TestWithParam<std::shared_ptr<const Partitioner>> {};
+// The case carries a fixed name so gtest (and ctest discovery) print that
+// instead of the partitioner's heap address, which changes from run to run.
+struct PartitionerCase {
+  std::string name;
+  std::shared_ptr<const Partitioner> partitioner;
+};
+
+void PrintTo(const PartitionerCase& c, std::ostream* os) { *os << c.name; }
+
+class PartitionerContract : public ::testing::TestWithParam<PartitionerCase> {};
 
 TEST_P(PartitionerContract, TotalAndDeterministic) {
-  const auto& p = GetParam();
+  const auto& p = GetParam().partitioner;
   Rng rng(3);
   for (int i = 0; i < 2000; ++i) {
     const Key k = rng.next_below(1 << 20);
@@ -139,10 +151,12 @@ TEST_P(PartitionerContract, TotalAndDeterministic) {
 INSTANTIATE_TEST_SUITE_P(
     Kinds, PartitionerContract,
     ::testing::Values(
-        std::make_shared<HashPartitioner>(1),
-        std::make_shared<HashPartitioner>(7),
-        std::make_shared<RangePartitioner>(std::vector<Key>{1000, 500000}, 3),
-        StaticRangePartitioner::uniform(1 << 20, 16)));
+        PartitionerCase{"hash_1", std::make_shared<HashPartitioner>(1)},
+        PartitionerCase{"hash_7", std::make_shared<HashPartitioner>(7)},
+        PartitionerCase{"range_3", std::make_shared<RangePartitioner>(
+                                       std::vector<Key>{1000, 500000}, 3)},
+        PartitionerCase{"static_range_16",
+                        StaticRangePartitioner::uniform(1 << 20, 16)}));
 
 }  // namespace
 }  // namespace stark
