@@ -147,14 +147,6 @@ class Context {
                     const PartitionerPtr& part, const std::string& ns,
                     IngestOptions opts = {});
 
-  // Deprecated positional-flag shim; one release of grace, then it goes.
-  [[deprecated(
-      "pass IngestOptions{.source_splits = ..., .materialize = ...} "
-      "instead of positional flags")]]
-  DatasetPtr ingest(const std::string& name, KeyHistogram hist,
-                    const PartitionerPtr& part, const std::string& ns,
-                    int source_splits, bool materialize = true);
-
   // Runs an action synchronously: submits the job, advances the simulation
   // until it finishes, and returns the result (JobResult::completed is
   // false if the failure machinery exhausted its retries). count(ds) is

@@ -74,6 +74,14 @@ class TimeSeries {
   std::vector<std::pair<double, double>> points_;
 };
 
+// Fairness over a set of per-tenant means (typically mean job delays).
+// Max/min spread: 1.0 with fewer than two means or a non-positive minimum.
+// Lower is fairer, but one mean near zero makes it unbounded.
+double max_min_spread(const std::vector<double>& means) noexcept;
+// Jain's index (sum m)^2 / (n * sum m^2): 1.0 = perfectly even, 1/n = one
+// mean carries everything. 1.0 with fewer than two means or all zeros.
+double jain_index(const std::vector<double>& means) noexcept;
+
 // Human-readable byte / duration formatting for bench output.
 std::string format_bytes(double bytes);
 std::string format_seconds(double seconds);

@@ -74,7 +74,7 @@ struct OverloadOptions {
 };
 
 // Per-run overload counters, surfaced via DagScheduler::overload_stats()
-// and MetricsCollector::observe_overload().
+// and printed by MetricsCollector::summary().
 struct OverloadStats {
   int jobs_admitted = 0;       // dispatched immediately on arrival
   int jobs_queued = 0;         // parked in a pending queue at least once

@@ -170,12 +170,6 @@ JobId DagScheduler::submit(DatasetPtr final, ActionType action,
   return id;
 }
 
-JobId DagScheduler::submit(DatasetPtr final, ActionType action, JobCallback cb,
-                           std::string app) {
-  return submit(std::move(final), action, SubmitOptions{.tenant = std::move(app)},
-                std::move(cb));
-}
-
 void DagScheduler::start_job(Job& ref) {
   // Make the lineage known to the group manager (ns resolution for MCF).
   for (const auto& ds :
@@ -1158,7 +1152,7 @@ void DagScheduler::plan_chain(const DatasetPtr& ds, int partition,
       // DAMON-style access sampling: served reads are the advisor's
       // recency/frequency evidence against auto-freeing this dataset.
       if (advisor_) advisor_->on_block_read(*ds, sim_->now());
-      if (options_.cache.pin_running_blocks) {
+      if (cluster_->config().cache.pin_running_blocks) {
         // The block must survive until this task releases it; the
         // TaskScheduler pins at launch and unpins at resource release.
         plan.blocks_referenced.push_back(bid);
@@ -1355,7 +1349,7 @@ void DagScheduler::plan_chain(const DatasetPtr& ds, int partition,
     const Bytes footprint =
         serialized ? bytes * cost_.serialization_ratio : bytes;
     double recompute_cost = 0.0;
-    if (options_.cache.policy == EvictionPolicyKind::kCostSize) {
+    if (cluster_->config().cache.policy == EvictionPolicyKind::kCostSize) {
       // Only the cost/size policy reads the estimate; skip the lineage
       // walk otherwise so the default planner path stays byte-identical.
       recompute_cost = recompute_delay_partition(
@@ -1381,7 +1375,7 @@ void DagScheduler::fault_back(const DatasetPtr& ds, int partition,
   }
   const BlockId bid{ds->id(), partition};
   double recompute_cost = 0.0;
-  if (options_.cache.policy == EvictionPolicyKind::kCostSize) {
+  if (cluster_->config().cache.policy == EvictionPolicyKind::kCostSize) {
     recompute_cost =
         recompute_delay_partition(*ds, static_cast<std::size_t>(partition));
   }

@@ -221,10 +221,8 @@ class LrcLifecycleTest : public ::testing::Test {
     cluster_ = std::make_unique<Cluster>(cc);
     locality_ = std::make_unique<LocalityManager>(*cluster_);
     groups_ = std::make_unique<GroupManager>(*locality_);
-    DagOptions opts;
-    opts.cache = cc.cache;
     dag_ = std::make_unique<DagScheduler>(*sim_, *cluster_, CostModel{},
-                                          *locality_, *groups_, opts);
+                                          *locality_, *groups_, DagOptions{});
     cluster_->add_block_observer(
         [this](ServerId s, const BlockId& id, bool inserted) {
           dag_->tasks().on_block_event(s, id, inserted);

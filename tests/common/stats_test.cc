@@ -122,6 +122,31 @@ TEST(TimeSeries, BucketizeDegenerate) {
   EXPECT_TRUE(ts.bucketize(2.0, 1.0, 1.0).empty());
 }
 
+TEST(Fairness, FewerThanTwoMeansIsEven) {
+  EXPECT_DOUBLE_EQ(jain_index({}), 1.0);
+  EXPECT_DOUBLE_EQ(jain_index({3.0}), 1.0);
+  EXPECT_DOUBLE_EQ(max_min_spread({}), 1.0);
+  EXPECT_DOUBLE_EQ(max_min_spread({3.0}), 1.0);
+}
+
+TEST(Fairness, AllZeroMeansIsEven) {
+  EXPECT_DOUBLE_EQ(jain_index({0.0, 0.0, 0.0}), 1.0);
+  EXPECT_DOUBLE_EQ(max_min_spread({0.0, 0.0, 0.0}), 1.0);
+}
+
+TEST(Fairness, EqualMeansArePerfectlyFair) {
+  EXPECT_DOUBLE_EQ(jain_index({2.5, 2.5, 2.5, 2.5}), 1.0);
+  EXPECT_DOUBLE_EQ(max_min_spread({2.5, 2.5, 2.5, 2.5}), 1.0);
+}
+
+TEST(Fairness, OneHotTenantGivesOneOverN) {
+  EXPECT_DOUBLE_EQ(jain_index({0.0, 0.0, 0.0, 8.0}), 0.25);
+  // A zero minimum leaves the max/min spread undefined: reported as 1.0.
+  EXPECT_DOUBLE_EQ(max_min_spread({0.0, 0.0, 0.0, 8.0}), 1.0);
+  // With a positive minimum the spread is max/min, in any input order.
+  EXPECT_DOUBLE_EQ(max_min_spread({1.0, 2.0, 8.0, 4.0}), 8.0);
+}
+
 TEST(Format, Bytes) {
   EXPECT_EQ(format_bytes(512), "512.00 B");
   EXPECT_EQ(format_bytes(2048), "2.00 KiB");
