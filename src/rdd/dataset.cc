@@ -201,13 +201,26 @@ bool Dataset::co_partitioned_with(const Partitioner& p) const noexcept {
 }
 
 std::string Dataset::describe() const {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf), "[%d] %s <%s> partitions=%d%s%s%s", id_,
-                name_.c_str(), op_name(op_), num_partitions_,
-                ns_.empty() ? "" : (" ns=" + ns_).c_str(),
-                cache_requested_ ? " cached" : "",
-                partitioner_ ? (" " + partitioner_->describe()).c_str() : "");
-  return buf;
+  // Appends only: GCC 12 misreports `"literal" + std::string&&` under
+  // -Wrestrict.
+  std::string out = "[";
+  out += std::to_string(id_);
+  out += "] ";
+  out += name_;
+  out += " <";
+  out += op_name(op_);
+  out += "> partitions=";
+  out += std::to_string(num_partitions_);
+  if (!ns_.empty()) {
+    out += " ns=";
+    out += ns_;
+  }
+  if (cache_requested_) out += " cached";
+  if (partitioner_) {
+    out += ' ';
+    out += partitioner_->describe();
+  }
+  return out;
 }
 
 std::string Dataset::debug_string() const {

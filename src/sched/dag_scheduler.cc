@@ -497,9 +497,11 @@ void DagScheduler::maybe_launch(StageRun& stage) {
     spec.unit_id = units[i].unit_id;
     spec.lo = units[i].lo;
     spec.hi = units[i].hi;
-    spec.preferred =
-        preferred_servers(stage, spec.unit_id, spec.lo, spec.hi);
-    ts->tasks.push_back(std::move(spec));
+    spec.pref_begin = static_cast<std::uint32_t>(ts->preferred.size());
+    preferred_servers(stage, spec.unit_id, spec.lo, spec.hi, ts->preferred);
+    spec.pref_count =
+        static_cast<std::uint32_t>(ts->preferred.size()) - spec.pref_begin;
+    ts->tasks.push_back(spec);
     stage.task_unit_pos.push_back(static_cast<int>(i));
   }
   StageRun* stage_ptr = &stage;
@@ -1011,10 +1013,11 @@ const JobResult& DagScheduler::result(JobId id) const {
 
 // --- preferred locations ----------------------------------------------------
 
-std::vector<ServerId> DagScheduler::preferred_servers(const StageRun& stage,
-                                                      int unit_id, int lo,
-                                                      int hi) {
-  std::vector<ServerId> out;
+void DagScheduler::preferred_servers(const StageRun& stage, int unit_id,
+                                     int lo, int hi,
+                                     std::vector<ServerId>& out) {
+  // Appends to `out`; only entries from `base` on are this unit's.
+  const auto base = static_cast<std::ptrdiff_t>(out.size());
   const DatasetPtr& boundary = stage.boundary;
   if (options_.use_locality_homes && !boundary->ns().empty() &&
       locality_->has(boundary->ns())) {
@@ -1029,12 +1032,13 @@ std::vector<ServerId> DagScheduler::preferred_servers(const StageRun& stage,
       const Server& srv = cluster_->server(s);
       if (srv.alive() && srv.reachable()) out.push_back(s);
     }
-    if (!out.empty()) return out;
+    if (std::ssize(out) > base) return;
   }
   // First narrow-reachable dataset with all of the unit's partitions cached
   // on a common server (Spark's getPreferredLocs walk).
+  std::vector<ServerId>& common = pref_common_;
   for (const auto& ds : stage.chain.datasets) {
-    std::vector<ServerId> common;
+    common.clear();
     for (int p = lo; p < hi; ++p) {
       const auto& locs = cluster_->cache_locations({ds->id(), p});
       if (locs.empty()) {
@@ -1042,22 +1046,18 @@ std::vector<ServerId> DagScheduler::preferred_servers(const StageRun& stage,
         break;
       }
       if (p == lo) {
-        common = locs;
+        common.assign(locs.begin(), locs.end());
       } else {
-        std::vector<ServerId> next;
-        for (ServerId s : common) {
-          if (std::find(locs.begin(), locs.end(), s) != locs.end()) {
-            next.push_back(s);
-          }
-        }
-        common = std::move(next);
+        std::erase_if(common, [&locs](ServerId s) {
+          return std::find(locs.begin(), locs.end(), s) == locs.end();
+        });
       }
       if (common.empty()) break;
     }
     if (!common.empty()) {
       for (ServerId s : common) {
         const Server& srv = cluster_->server(s);
-        if (std::find(out.begin(), out.end(), s) == out.end() &&
+        if (std::find(out.begin() + base, out.end(), s) == out.end() &&
             srv.alive() && srv.reachable()) {
           out.push_back(s);
         }
@@ -1071,7 +1071,7 @@ std::vector<ServerId> DagScheduler::preferred_servers(const StageRun& stage,
   // store still beats recompute — the spill copies are only readable
   // there. Remote-pool copies are location-independent and add no
   // preference. Scan order is server-id order: deterministic.
-  if (out.empty() && cluster_->remote_memory_enabled() &&
+  if (std::ssize(out) == base && cluster_->remote_memory_enabled() &&
       stage.boundary->storage_level() ==
           Dataset::StorageLevel::kMemoryAndDisk) {
     for (ServerId s = 0; s < cluster_->size(); ++s) {
@@ -1087,7 +1087,6 @@ std::vector<ServerId> DagScheduler::preferred_servers(const StageRun& stage,
       if (all) out.push_back(s);
     }
   }
-  return out;
 }
 
 // --- task planning -----------------------------------------------------------

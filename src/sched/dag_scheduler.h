@@ -366,8 +366,10 @@ class DagScheduler {
   bool output_host_healthy(ServerId s) const;
   // Every registered output of the shuffle sits on a live, reachable host.
   bool shuffle_healthy(const ShuffleKey& key) const;
-  std::vector<ServerId> preferred_servers(const StageRun& stage, int unit_id,
-                                          int lo, int hi);
+  // Appends the unit's NODE_LOCAL candidates to `out` (a task set's flat
+  // preferred-server array).
+  void preferred_servers(const StageRun& stage, int unit_id, int lo, int hi,
+                         std::vector<ServerId>& out);
   TaskPlan plan_task(const StageRun& stage, const TaskSpec& task,
                      ServerId server);
   void plan_chain(const DatasetPtr& ds, int partition, ServerId server,
@@ -464,6 +466,7 @@ class DagScheduler {
   bool insert_filter_installed_ = false;
   std::vector<HedgeBudget> hedge_budget_;
   std::vector<ServerId> hedge_hosts_scratch_;  // distinct source hosts
+  std::vector<ServerId> pref_common_;  // preferred_servers' intersection
   // Overload protection (all inert while DagOptions::overload defaults).
   AdmissionController admission_;
   OverloadStats overload_stats_;

@@ -4,6 +4,7 @@
 // StageBreakdown, JobResult, JobCallback) lives in api/job.h.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -107,7 +108,11 @@ struct TaskSpec {
   int unit_id = -1;  // partition index, or group id under Stark-E
   int lo = 0;        // first partition (inclusive)
   int hi = 0;        // last partition (exclusive)
-  std::vector<ServerId> preferred;  // NODE_LOCAL candidates
+  // NODE_LOCAL candidates: the slice [pref_begin, pref_begin + pref_count)
+  // of the owning task set's flat preferred-server array
+  // (TaskScheduler::TaskSet::preferred_of).
+  std::uint32_t pref_begin = 0;
+  std::uint32_t pref_count = 0;
 };
 
 }  // namespace stark

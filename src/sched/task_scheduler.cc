@@ -25,15 +25,23 @@ void TaskScheduler::submit(TaskSetPtr ts) {
   if (ts == nullptr || ts->tasks.empty()) {
     throw std::invalid_argument("TaskScheduler::submit: empty task set");
   }
+  for (const TaskSpec& t : ts->tasks) {
+    if (std::size_t{t.pref_begin} + t.pref_count > ts->preferred.size()) {
+      throw std::invalid_argument(
+          "TaskScheduler::submit: preferred slice out of range");
+    }
+  }
   auto set = std::make_shared<ActiveSet>();
   set->ts = std::move(ts);
-  set->task_done_flags.assign(set->ts->tasks.size(), 0);
-  set->task_speculated.assign(set->ts->tasks.size(), 0);
-  set->attempts.assign(set->ts->tasks.size(), 0);
-  set->runs_by_index.assign(set->ts->tasks.size(), {});
-  for (int i = 0; i < static_cast<int>(set->ts->tasks.size()); ++i) {
+  const std::size_t n = set->ts->tasks.size();
+  set->task_done_flags.assign(n, 0);
+  set->task_speculated.assign(n, 0);
+  set->attempts.assign(n, 0);
+  set->runs_by_index.assign(n, {});
+  set->finished_durations.reserve(n);
+  for (int i = 0; i < static_cast<int>(n); ++i) {
     set->pending.push_back(i);
-    if (!set->ts->tasks[static_cast<std::size_t>(i)].preferred.empty()) {
+    if (set->ts->tasks[static_cast<std::size_t>(i)].pref_count != 0) {
       set->has_preferences = true;
     }
   }
@@ -316,7 +324,7 @@ bool TaskScheduler::offer_to_set(const std::shared_ptr<ActiveSet>& set,
     set->pending.pop_front();
     const TaskSpec& task = set->ts->tasks[static_cast<std::size_t>(idx)];
     ServerId local = kInvalidId;
-    for (ServerId s : task.preferred) {
+    for (ServerId s : set->ts->preferred_of(task)) {
       if (probe_launch_failure_[static_cast<std::size_t>(s)] != 0) {
         launch_failures.insert(s);
       }
@@ -357,7 +365,7 @@ bool TaskScheduler::offer_to_set(const std::shared_ptr<ActiveSet>& set,
       const int idx = set->pending.front();
       set->pending.pop_front();
       if (!any_allowed &&
-          !set->ts->tasks[static_cast<std::size_t>(idx)].preferred.empty()) {
+          set->ts->tasks[static_cast<std::size_t>(idx)].pref_count != 0) {
         set->pending.push_back(idx);  // still inside its locality wait
         continue;
       }
@@ -592,19 +600,110 @@ void TaskScheduler::launch(const std::shared_ptr<ActiveSet>& set, int index,
     tracer_->emit(e);
   }
 
-  const std::uint64_t run_id = next_run_id_++;
-  if (run.fetch_failure.has_value()) {
-    run.event = sim_->at(
+  const std::uint64_t run_id = add_run(std::move(run));
+  RunningTask& filed = find_run(run_id)->run;
+  if (filed.fetch_failure.has_value()) {
+    filed.event = sim_->at(
         finish, [this, run_id] { fail(run_id, TaskFailureKind::kFetchFailed); });
-  } else if (run.flaky_failure) {
-    run.event = sim_->at(
+  } else if (filed.flaky_failure) {
+    filed.event = sim_->at(
         finish, [this, run_id] { fail(run_id, TaskFailureKind::kTaskError); });
   } else {
-    run.event = sim_->at(finish, [this, run_id] { complete(run_id); });
+    filed.event = sim_->at(finish, [this, run_id] { complete(run_id); });
   }
-  by_server_[server].insert(run_id);
-  set->runs_by_index[static_cast<std::size_t>(index)].push_back(run_id);
-  running_.emplace(run_id, std::move(run));
+  set->runs_by_index[static_cast<std::size_t>(index)].add(run_id);
+}
+
+void TaskScheduler::LiveCopies::add(std::uint64_t run_id) {
+  if (n_ == ids_.size()) {
+    throw std::logic_error(
+        "TaskScheduler: a task runs at most two copies at once");
+  }
+  ids_[n_++] = run_id;
+}
+
+void TaskScheduler::LiveCopies::remove(std::uint64_t run_id) noexcept {
+  for (std::size_t i = 0; i < n_; ++i) {
+    if (ids_[i] != run_id) continue;
+    for (; i + 1 < n_; ++i) ids_[i] = ids_[i + 1];  // survivors keep order
+    --n_;
+    return;
+  }
+}
+
+TaskScheduler::RunSlot* TaskScheduler::find_run(std::uint64_t run_id) noexcept {
+  const auto slot = static_cast<std::uint32_t>(run_id);
+  if (slot >= run_slots_.size()) return nullptr;
+  RunSlot& r = run_slots_[slot];
+  return r.live && r.gen == static_cast<std::uint32_t>(run_id >> 32) ? &r
+                                                                     : nullptr;
+}
+
+std::uint64_t TaskScheduler::add_run(RunningTask run) {
+  std::uint32_t slot;
+  if (!free_run_slots_.empty()) {
+    slot = free_run_slots_.back();
+    free_run_slots_.pop_back();
+  } else {
+    slot = static_cast<std::uint32_t>(run_slots_.size());
+    run_slots_.emplace_back();
+  }
+  RunSlot& r = run_slots_[slot];
+  const std::uint64_t run_id = (std::uint64_t{r.gen} << 32) | slot;
+  const auto server = static_cast<std::size_t>(run.server);
+  if (server_runs_.size() <= server) server_runs_.resize(server + 1);
+  r.server_pos = static_cast<std::uint32_t>(server_runs_[server].size());
+  server_runs_[server].push_back(run_id);
+  r.run = std::move(run);
+  r.launch_seq = next_launch_seq_++;
+  r.live = true;
+  ++live_runs_;
+  return run_id;
+}
+
+TaskScheduler::RunningTask TaskScheduler::take_run(std::uint64_t run_id) {
+  const auto slot = static_cast<std::uint32_t>(run_id);
+  RunSlot& r = run_slots_[slot];
+  auto& list = server_runs_[static_cast<std::size_t>(r.run.server)];
+  const std::uint64_t last = list.back();
+  list[r.server_pos] = last;
+  run_slots_[static_cast<std::uint32_t>(last)].server_pos = r.server_pos;
+  list.pop_back();
+  RunningTask run = std::move(r.run);
+  r.live = false;
+  ++r.gen;
+  free_run_slots_.push_back(slot);
+  --live_runs_;
+  return run;
+}
+
+void TaskScheduler::sort_by_launch(std::vector<std::uint64_t>& runs) const {
+  std::sort(runs.begin(), runs.end(),
+            [this](std::uint64_t a, std::uint64_t b) {
+              return run_slots_[static_cast<std::uint32_t>(a)].launch_seq <
+                     run_slots_[static_cast<std::uint32_t>(b)].launch_seq;
+            });
+}
+
+std::span<const std::uint64_t> TaskScheduler::runs_on_server(
+    ServerId s) const noexcept {
+  const auto i = static_cast<std::size_t>(s);
+  if (s < 0 || i >= server_runs_.size()) return {};
+  return server_runs_[i];
+}
+
+std::vector<std::vector<std::uint64_t>> TaskScheduler::recount_runs_by_server()
+    const {
+  std::vector<std::vector<std::uint64_t>> out(server_runs_.size());
+  for (std::uint32_t slot = 0; slot < run_slots_.size(); ++slot) {
+    const RunSlot& r = run_slots_[slot];
+    if (!r.live) continue;
+    const auto server = static_cast<std::size_t>(r.run.server);
+    if (out.size() <= server) out.resize(server + 1);
+    out[server].push_back((std::uint64_t{r.gen} << 32) | slot);
+  }
+  for (auto& runs : out) std::sort(runs.begin(), runs.end());
+  return out;
 }
 
 void TaskScheduler::release_run_resources(const RunningTask& run,
@@ -633,18 +732,24 @@ void TaskScheduler::release_run_resources(const RunningTask& run,
         run.set->ts->tenant < 0 ? 0 : run.set->ts->tenant);
     if (t < tenant_running_cores_.size()) --tenant_running_cores_[t];
   }
-  auto& runs = run.set->runs_by_index[static_cast<std::size_t>(run.index)];
-  std::erase(runs, run_id);
+  run.set->runs_by_index[static_cast<std::size_t>(run.index)].remove(run_id);
 }
 
 void TaskScheduler::discard_run(std::uint64_t run_id) {
-  const auto it = running_.find(run_id);
-  if (it == running_.end()) return;
-  RunningTask run = std::move(it->second);
-  running_.erase(it);
-  by_server_[run.server].erase(run_id);
+  if (find_run(run_id) == nullptr) return;
+  RunningTask run = take_run(run_id);
   sim_->cancel(run.event);
   release_run_resources(run, run_id);
+}
+
+void TaskScheduler::discard_set_runs(const ActiveSet& set) {
+  // Every copy still in flight, in launch order.
+  std::vector<std::uint64_t> run_ids;
+  for (const auto& runs : set.runs_by_index) {
+    run_ids.insert(run_ids.end(), runs.begin(), runs.end());
+  }
+  sort_by_launch(run_ids);
+  for (const std::uint64_t id : run_ids) discard_run(id);
 }
 
 void TaskScheduler::maybe_speculate(const std::shared_ptr<ActiveSet>& set) {
@@ -669,16 +774,16 @@ void TaskScheduler::maybe_speculate(const std::shared_ptr<ActiveSet>& set) {
         runs.size() != 1) {
       continue;
     }
-    candidates.emplace_back(static_cast<int>(index), runs.front());
+    candidates.emplace_back(static_cast<int>(index), *runs.begin());
   }
   for (const auto& [index, run_id] : candidates) {
-    const auto rit = running_.find(run_id);
-    if (rit == running_.end()) continue;
-    const auto& m = rit->second.metrics;
+    const RunSlot* slot = find_run(run_id);
+    if (slot == nullptr) continue;
+    const auto& m = slot->run.metrics;
     if (m.finish_time - m.launch_time <= threshold) continue;
     if (m.finish_time - sim_->now() <= 0.0) continue;  // about to finish
     const ServerId s =
-        pick_remote_server(*set, index, /*exclude=*/rit->second.server);
+        pick_remote_server(*set, index, /*exclude=*/slot->run.server);
     if (s == kInvalidId) continue;
     set->task_speculated[static_cast<std::size_t>(index)] = 1;
     launch(set, index, s, /*node_local=*/false, /*speculative=*/true);
@@ -696,10 +801,10 @@ void TaskScheduler::finish_set_if_done(const std::shared_ptr<ActiveSet>& set) {
 }
 
 void TaskScheduler::complete(std::uint64_t run_id) {
-  const auto it = running_.find(run_id);
-  if (it == running_.end()) return;
+  const RunSlot* slot = find_run(run_id);
+  if (slot == nullptr) return;
   {
-    const RunningTask& r = it->second;
+    const RunningTask& r = slot->run;
     const Server& srv = cluster_->server(r.server);
     if (!srv.alive() || srv.generation() != r.server_generation) {
       // Zombie: the incarnation that ran this task is gone but the driver
@@ -713,9 +818,9 @@ void TaskScheduler::complete(std::uint64_t run_id) {
       return;
     }
   }
-  RunningTask run = std::move(it->second);
-  running_.erase(it);
-  by_server_[run.server].erase(run_id);
+  // Out of the slot before any callback: they may launch runs that reuse
+  // the slot or grow (relocate) the table.
+  RunningTask run = take_run(run_id);
 
   Server& srv = cluster_->server(run.server);
   srv.add_busy_seconds(run.metrics.duration());
@@ -730,10 +835,10 @@ void TaskScheduler::complete(std::uint64_t run_id) {
   // This copy wins; kill any sibling still running.
   set->task_done_flags[static_cast<std::size_t>(run.index)] = 1;
   if (run.speculative) ++speculative_wins_;
-  const auto runs_snapshot =
+  const LiveCopies siblings =
       set->runs_by_index[static_cast<std::size_t>(run.index)];
-  for (const std::uint64_t sibling : runs_snapshot) discard_run(sibling);
-  set->runs_by_index[static_cast<std::size_t>(run.index)].clear();
+  for (const std::uint64_t sibling : siblings) discard_run(sibling);
+  set->runs_by_index[static_cast<std::size_t>(run.index)] = {};
 
   for (const auto& block : run.plan.blocks_to_cache) {
     // The plan predates completion; a dataset freed in between must not
@@ -889,13 +994,7 @@ void TaskScheduler::abort_set(const std::shared_ptr<ActiveSet>& set,
   if (set->aborted) return;
   set->aborted = true;
   detach_set(set);
-  // Discard every copy still in flight, in run-id (launch) order.
-  std::vector<std::uint64_t> run_ids;
-  for (const auto& runs : set->runs_by_index) {
-    run_ids.insert(run_ids.end(), runs.begin(), runs.end());
-  }
-  std::sort(run_ids.begin(), run_ids.end());
-  for (const std::uint64_t id : run_ids) discard_run(id);
+  discard_set_runs(*set);
   set->pending.clear();
   set->parked.clear();
   STARK_LOG_INFO("aborting task set (job %d stage %d): %s", set->ts->job,
@@ -904,10 +1003,10 @@ void TaskScheduler::abort_set(const std::shared_ptr<ActiveSet>& set,
 }
 
 void TaskScheduler::fail(std::uint64_t run_id, TaskFailureKind kind) {
-  const auto it = running_.find(run_id);
-  if (it == running_.end()) return;
+  const RunSlot* slot = find_run(run_id);
+  if (slot == nullptr) return;
   {
-    const RunningTask& r = it->second;
+    const RunningTask& r = slot->run;
     const Server& srv = cluster_->server(r.server);
     if (kind != TaskFailureKind::kExecutorLost &&
         (!srv.alive() || srv.generation() != r.server_generation)) {
@@ -916,9 +1015,7 @@ void TaskScheduler::fail(std::uint64_t run_id, TaskFailureKind kind) {
       return;
     }
   }
-  RunningTask run = std::move(it->second);
-  running_.erase(it);
-  by_server_[run.server].erase(run_id);
+  RunningTask run = take_run(run_id);
   sim_->cancel(run.event);
   release_run_resources(run, run_id);
 
@@ -1042,17 +1139,17 @@ void TaskScheduler::fail(std::uint64_t run_id, TaskFailureKind kind) {
 }
 
 void TaskScheduler::handle_server_failure(ServerId s) {
-  const auto it = by_server_.find(s);
-  if (it != by_server_.end()) {
+  const auto on_s = runs_on_server(s);
+  if (!on_s.empty()) {
     // Fail every run the driver believed was on s — including results that
-    // finished behind a partition but were never delivered.
-    const auto run_ids = it->second;
-    std::vector<std::uint64_t> ordered(run_ids.begin(), run_ids.end());
-    std::sort(ordered.begin(), ordered.end());
+    // finished behind a partition but were never delivered — in launch
+    // order. A callback may discard later entries first; their ids go
+    // stale and fail() skips them.
+    std::vector<std::uint64_t> ordered(on_s.begin(), on_s.end());
+    sort_by_launch(ordered);
     for (std::uint64_t run_id : ordered) {
       fail(run_id, TaskFailureKind::kExecutorLost);
     }
-    by_server_.erase(s);
   }
   deferred_.erase(s);
   contention_.erase(s);
@@ -1068,10 +1165,10 @@ void TaskScheduler::on_server_healed(ServerId s) {
   std::vector<std::uint64_t> run_ids = std::move(it->second);
   deferred_.erase(it);
   for (std::uint64_t run_id : run_ids) {
-    const auto rit = running_.find(run_id);
-    if (rit == running_.end()) continue;
+    RunSlot* slot = find_run(run_id);
+    if (slot == nullptr) continue;
     // The result reaches the driver only now.
-    rit->second.metrics.finish_time = sim_->now();
+    slot->run.metrics.finish_time = sim_->now();
     complete(run_id);
   }
   schedule();
@@ -1101,12 +1198,7 @@ void TaskScheduler::cancel_job(JobId job) {
   for (const auto& set : doomed) {
     set->aborted = true;
     detach_set(set);
-    std::vector<std::uint64_t> run_ids;
-    for (const auto& runs : set->runs_by_index) {
-      run_ids.insert(run_ids.end(), runs.begin(), runs.end());
-    }
-    std::sort(run_ids.begin(), run_ids.end());
-    for (const std::uint64_t id : run_ids) discard_run(id);
+    discard_set_runs(*set);
     set->pending.clear();
     set->parked.clear();
   }

@@ -33,6 +33,7 @@
 // driver-bound, as in the paper's Fig 7 / Fig 19.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -41,6 +42,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -193,11 +195,19 @@ class TaskScheduler {
     // ordering and cache-quota ownership of the blocks the tasks cache.
     TenantId tenant = 0;
     std::vector<TaskSpec> tasks;
+    // Every task's NODE_LOCAL candidates, back to back: one array per set
+    // instead of one vector per task. TaskSpec::pref_begin/pref_count
+    // slice it.
+    std::vector<ServerId> preferred;
     PlanFn plan;
     TaskDoneFn task_done;
     AllDoneFn all_done;
     TaskFailedFn task_failed;  // optional; default action is kRetry
     AbortFn on_abort;          // optional; fired when retries are exhausted
+
+    std::span<const ServerId> preferred_of(const TaskSpec& t) const noexcept {
+      return {preferred.data() + t.pref_begin, t.pref_count};
+    }
   };
   using TaskSetPtr = std::shared_ptr<TaskSet>;
 
@@ -318,7 +328,14 @@ class TaskScheduler {
   }
   std::vector<ServerId> recompute_free_offer_servers() const;
 
-  std::size_t running_tasks() const noexcept { return running_.size(); }
+  std::size_t running_tasks() const noexcept { return live_runs_; }
+  // Ids of the runs the driver believes are on `s`, as maintained per
+  // launch and release (unordered; the view is valid until the next launch
+  // or release), and every server's list recomputed by scanning the run
+  // table (ascending id). The same sets after every event; property tests
+  // compare them.
+  std::span<const std::uint64_t> runs_on_server(ServerId s) const noexcept;
+  std::vector<std::vector<std::uint64_t>> recount_runs_by_server() const;
   std::size_t pending_task_sets() const noexcept { return task_sets_.size(); }
   // Logical tasks completed (winning copies only), across all sets ever run.
   std::uint64_t tasks_completed() const noexcept { return tasks_completed_; }
@@ -343,6 +360,21 @@ class TaskScheduler {
   int active_disk_flows() const noexcept { return active_disk_flows_; }
 
  private:
+  // The in-flight runs of one task, inline: the original plus at most one
+  // speculative copy. A third copy is a logic_error.
+  class LiveCopies {
+   public:
+    void add(std::uint64_t run_id);
+    void remove(std::uint64_t run_id) noexcept;
+    std::size_t size() const noexcept { return n_; }
+    bool empty() const noexcept { return n_ == 0; }
+    const std::uint64_t* begin() const noexcept { return ids_.data(); }
+    const std::uint64_t* end() const noexcept { return ids_.data() + n_; }
+
+   private:
+    std::array<std::uint64_t, 2> ids_{};
+    std::uint8_t n_ = 0;
+  };
   struct ActiveSet {
     TaskSetPtr ts;
     std::deque<int> pending;
@@ -364,7 +396,7 @@ class TaskScheduler {
     std::vector<double> finished_durations;
     // In-flight run ids per task index (size == tasks.size()); an entry is
     // non-empty only while copies of that task are running.
-    std::vector<std::vector<std::uint64_t>> runs_by_index;
+    std::vector<LiveCopies> runs_by_index;
     // Scheduling-index bookkeeping (owned by the TaskScheduler): FIFO
     // position, O(1) erase handle into task_sets_, ready-queue membership.
     std::uint64_t seq = 0;
@@ -384,9 +416,32 @@ class TaskScheduler {
     std::optional<TaskPlan::FetchFailure> fetch_failure;
     bool flaky_failure = false;
   };
+  // One entry of the run table. A run id is `gen << 32 | slot`; releasing
+  // the slot bumps `gen`, so an id held past its run's end (a cancelled
+  // completion event, a deferred_ entry after a discard) finds nothing
+  // even once the slot is reused.
+  struct RunSlot {
+    RunningTask run;
+    // Launch order. Slot reuse scrambles slot order, so the paths that
+    // tear down several runs at once (abort_set, cancel_job,
+    // handle_server_failure) sort on this.
+    std::uint64_t launch_seq = 0;
+    std::uint32_t gen = 0;
+    std::uint32_t server_pos = 0;  // index in server_runs_[run.server]
+    bool live = false;
+  };
 
   void launch(const std::shared_ptr<ActiveSet>& set, int index, ServerId s,
               bool node_local, bool speculative = false);
+  // Run table: the live slot of `run_id`, or null when the id is stale.
+  RunSlot* find_run(std::uint64_t run_id) noexcept;
+  // Files `run` in a free slot and on its server's list; returns its id.
+  std::uint64_t add_run(RunningTask run);
+  // Moves the run out of its slot and frees the slot, so callbacks that
+  // launch more runs may reuse (or relocate) it.
+  RunningTask take_run(std::uint64_t run_id);
+  // `runs` ordered by launch (every id must be live).
+  void sort_by_launch(std::vector<std::uint64_t>& runs) const;
   void complete(std::uint64_t run_id);
   void fail(std::uint64_t run_id, TaskFailureKind kind);
   void finish_set_if_done(const std::shared_ptr<ActiveSet>& set);
@@ -399,6 +454,7 @@ class TaskScheduler {
   void emit_retry(const ActiveSet& set, int index);
   void maybe_speculate(const std::shared_ptr<ActiveSet>& set);
   void discard_run(std::uint64_t run_id);  // cancel + release resources
+  void discard_set_runs(const ActiveSet& set);  // every copy, launch order
   // Releases the run's driver-side accounting and, when the incarnation it
   // ran on is still alive, its physical core/working set.
   void release_run_resources(const RunningTask& run, std::uint64_t run_id);
@@ -480,8 +536,15 @@ class TaskScheduler {
       by_job_stage_;
   std::unordered_map<JobId, std::vector<std::shared_ptr<ActiveSet>>> by_job_;
   std::uint64_t next_set_seq_ = 0;
-  std::unordered_map<std::uint64_t, RunningTask> running_;
-  std::unordered_map<ServerId, std::unordered_set<std::uint64_t>> by_server_;
+  // Run table (see RunSlot): slots are recycled through a free list, so a
+  // launch or completion allocates nothing once the table has grown to the
+  // peak number of concurrent runs.
+  std::vector<RunSlot> run_slots_;
+  std::vector<std::uint32_t> free_run_slots_;
+  std::size_t live_runs_ = 0;
+  std::uint64_t next_launch_seq_ = 0;
+  // Live run ids per server (index = ServerId), unordered.
+  std::vector<std::vector<std::uint64_t>> server_runs_;
   // Results that finished on an unreachable (partitioned) executor; they
   // are delivered when the partition heals, unless the loss is detected
   // first.
@@ -522,7 +585,6 @@ class TaskScheduler {
   int speculative_wins_ = 0;
   bool speculation_suspended_ = false;
   int app_exclusions_ = 0;
-  std::uint64_t next_run_id_ = 0;
   std::uint64_t tasks_completed_ = 0;
   SimTime driver_free_at_ = 0.0;
   bool timer_armed_ = false;

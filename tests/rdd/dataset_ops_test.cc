@@ -73,6 +73,21 @@ TEST(DatasetOps, DescribeMentionsEssentials) {
   EXPECT_NE(d.find("HashPartitioner(4)"), std::string::npos);
 }
 
+TEST(DatasetOps, DescribeKeepsLongNamesWhole) {
+  // Nothing is truncated: a 300-character name and a long namespace both
+  // appear in full, followed by the partitioner.
+  const std::string name(300, 'n');
+  const std::string ns(120, 's');
+  auto part = std::make_shared<HashPartitioner>(4);
+  auto ds = Dataset::source("src", small_hist(), 2)
+                ->partition_by(part, ns, name);
+  ds->cache();
+  const std::string d = ds->describe();
+  EXPECT_EQ(d, "[" + std::to_string(ds->id()) + "] " + name +
+                   " <partitionBy> partitions=4 ns=" + ns + " cached " +
+                   part->describe());
+}
+
 TEST(DatasetOps, DebugStringShowsWholeLineage) {
   auto part = std::make_shared<HashPartitioner>(4);
   auto a = Dataset::source("a", small_hist(), 2)->partition_by(part);

@@ -3,6 +3,7 @@
 // re-admission, and deferred result delivery across partitions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -208,6 +209,68 @@ TEST(FaultTolerance, FreeServerListMatchesARecountUnderChaos) {
   EXPECT_GT(s.task_failures, 0);
   EXPECT_GT(s.executor_exclusions, 0);
   EXPECT_GT(sweeps_checked, 1000);
+}
+
+TEST(FaultTolerance, RunListsMatchARecountUnderChaos) {
+  // The TaskScheduler files each run in a recycled slot and on its
+  // server's run list, both kept per launch and release. Under kills,
+  // flaky tasks, rack partitions (deferred results) and speculation, after
+  // every event the count of runs and every server's list must equal a
+  // recount of the live slots.
+  ContextOptions o = opts();
+  o.cluster.num_servers = 6;
+  o.cluster.servers_per_rack = 2;
+  o.speculation = true;
+  Context ctx(o);
+  auto part = ctx.collection_partitioner(8, 256);
+  std::vector<DatasetPtr> inputs;
+  for (const char* name : {"d0", "d1"}) {
+    inputs.push_back(ctx.ingest(name, hist(), part, "logs"));
+  }
+  ChaosInjector chaos(ctx, {.failures_per_hour = 1800.0,
+                            .mean_repair_seconds = 4.0,
+                            .min_alive = 2,
+                            .flaky_task_probability = 0.15,
+                            .partitions_per_hour = 900.0,
+                            .mean_partition_seconds = 3.0,
+                            .seed = 29});
+  const SimTime t0 = ctx.sim().now();
+  chaos.start(t0, t0 + 100.0);
+  int finished = 0;
+  for (int q = 0; q < 40; ++q) {
+    ctx.sim().at(t0 + 2.5 * q, [&] {
+      auto cg = Dataset::cogroup(inputs, part);
+      ctx.dag().submit(cg->filter({.selectivity = 0.05}), ActionType::kCount,
+                       {}, [&](const JobResult&) { ++finished; });
+    });
+  }
+  TaskScheduler& tasks = ctx.dag().tasks();
+  int events_checked = 0;
+  std::size_t peak_running = 0;
+  bool mismatch = false;
+  ctx.sim().run_until([&] {
+    const auto recount = tasks.recount_runs_by_server();
+    std::size_t total = 0;
+    for (std::size_t s = 0; s < recount.size(); ++s) {
+      const auto listed = tasks.runs_on_server(static_cast<ServerId>(s));
+      std::vector<std::uint64_t> sorted(listed.begin(), listed.end());
+      std::sort(sorted.begin(), sorted.end());
+      if (sorted != recount[s]) mismatch = true;
+      total += recount[s].size();
+    }
+    if (total != tasks.running_tasks()) mismatch = true;
+    peak_running = std::max(peak_running, total);
+    ++events_checked;
+    return mismatch;
+  });
+  EXPECT_FALSE(mismatch) << "after " << events_checked << " events";
+  EXPECT_EQ(finished, 40);
+  EXPECT_GT(chaos.kills(), 0);
+  EXPECT_GT(chaos.partitions(), 0);
+  EXPECT_GT(ctx.dag().failure_stats().task_failures, 0);
+  EXPECT_GT(tasks.speculative_launches(), 0);
+  EXPECT_GT(peak_running, 0u);
+  EXPECT_GT(events_checked, 1000);
 }
 
 }  // namespace

@@ -33,7 +33,11 @@ class SpeculationTest : public ::testing::Test {
       spec.unit_id = i;
       spec.lo = i;
       spec.hi = i + 1;
-      if (i == 0) spec.preferred = {slow_server};  // pin the straggler
+      if (i == 0) {  // pin the straggler
+        spec.pref_begin = static_cast<std::uint32_t>(ts->preferred.size());
+        spec.pref_count = 1;
+        ts->preferred.push_back(slow_server);
+      }
       ts->tasks.push_back(std::move(spec));
     }
     ts->plan = [slow_server](const TaskSpec& t, ServerId s) {

@@ -37,7 +37,10 @@ class TaskSchedulerTest : public ::testing::Test {
       spec.lo = i;
       spec.hi = i + 1;
       if (static_cast<std::size_t>(i) < preferred.size()) {
-        spec.preferred = preferred[static_cast<std::size_t>(i)];
+        const auto& prefs = preferred[static_cast<std::size_t>(i)];
+        spec.pref_begin = static_cast<std::uint32_t>(ts->preferred.size());
+        spec.pref_count = static_cast<std::uint32_t>(prefs.size());
+        ts->preferred.insert(ts->preferred.end(), prefs.begin(), prefs.end());
       }
       ts->tasks.push_back(std::move(spec));
     }
@@ -228,6 +231,131 @@ TEST_F(TaskSchedulerTest, FifoBetweenTaskSets) {
   ASSERT_EQ(done_.size(), 3u);
   // The single-core server serves the first set's two tasks first.
   EXPECT_NEAR(done_[2].second.finish_time, 3.0, 1e-9);
+}
+
+// Run ids are `generation << 32 | slot` into a recycled run table. The
+// tests below pin the two invariants slot reuse could break: a stale id
+// must find nothing, and teardown must follow launch order, not slot order.
+
+TEST_F(TaskSchedulerTest, StaleDeferredResultIgnoredAfterSlotReuse) {
+  // A result that finished behind a partition is deferred by run id. The
+  // run is then discarded and its slot reused; the heal must not deliver
+  // the slot's new occupant early.
+  reset({.mcf = false, .locality_wait = 0.0}, /*servers=*/2, /*cores=*/1);
+  auto first = make_set(1, 1.0, {{0}});
+  first->job = 1;
+  sched_->submit(first);
+  sim_->at(0.5, [&] { cluster_->set_server_reachable(0, false); });
+  sim_->at(1.5, [&] {
+    ASSERT_EQ(sched_->running_tasks(), 1u);  // finished, result deferred
+    sched_->cancel_job(1);
+    auto second = make_set(1, 1.0, {{1}});
+    second->job = 2;
+    sched_->submit(second);  // takes the discarded run's slot
+  });
+  sim_->at(2.0, [&] {
+    cluster_->set_server_reachable(0, true);
+    sched_->on_server_healed(0);
+  });
+  sim_->run();
+  ASSERT_EQ(done_.size(), 1u);
+  EXPECT_EQ(done_[0].second.server, 1);
+  EXPECT_NEAR(done_[0].second.finish_time, 2.5, 1e-9);
+  EXPECT_EQ(sets_done_, 1);
+  EXPECT_EQ(sched_->running_tasks(), 0u);
+}
+
+TEST_F(TaskSchedulerTest, StaleLossEntryIgnoredAfterSlotReuse) {
+  // handle_server_failure fails a snapshot of the server's runs. When an
+  // earlier failure's callback discards a later run and a new launch
+  // reuses its slot, the snapshot's entry for it must fail nothing.
+  reset({.mcf = false, .locality_wait = 0.0}, /*servers=*/2, /*cores=*/2);
+  std::vector<JobId> failed;
+  auto x = make_set(1, 10.0, {{0}});
+  x->job = 1;
+  auto y = make_set(1, 10.0, {{0}});
+  y->job = 2;
+  y->task_failed = [&](const TaskSpec&, const TaskFailure&) {
+    failed.push_back(2);
+    return TaskFailureAction::kRetry;
+  };
+  x->task_failed = [&](const TaskSpec&, const TaskFailure&) {
+    failed.push_back(1);
+    sched_->cancel_job(2);  // frees y's slot...
+    auto z = make_set(1, 1.0, {{1}});
+    z->job = 3;
+    z->task_failed = [&](const TaskSpec&, const TaskFailure&) {
+      failed.push_back(3);
+      return TaskFailureAction::kRetry;
+    };
+    sched_->submit(z);  // ...and z's run takes it
+    return TaskFailureAction::kRetry;
+  };
+  sched_->submit(x);
+  sched_->submit(y);
+  sim_->run(1.0);
+  cluster_->kill_server(0);
+  sched_->handle_server_failure(0);
+  sim_->run();
+  EXPECT_EQ(failed, std::vector<JobId>{1});
+  ASSERT_EQ(done_.size(), 2u);  // z at t=2, then x's retry at t=11
+  EXPECT_NEAR(done_[0].second.finish_time, 2.0, 1e-9);
+  EXPECT_NEAR(done_[1].second.finish_time, 11.0, 1e-9);
+  EXPECT_EQ(sets_done_, 2);
+}
+
+TEST_F(TaskSchedulerTest, ServerLossFailsRunsInLaunchOrder) {
+  reset({.mcf = false, .locality_wait = 0.0}, /*servers=*/2, /*cores=*/2);
+  // Two runs fill slots 0 and 1 and free them in that order, so the next
+  // two launches take slot 1, then slot 0: slot order runs against launch
+  // order.
+  sched_->submit(make_set(2, 1.0, {{0}, {0}}));
+  sim_->run();
+  std::vector<int> failed;
+  auto ts = make_set(2, 10.0, {{0}, {0}});
+  ts->task_failed = [&](const TaskSpec& t, const TaskFailure&) {
+    failed.push_back(t.index);
+    return TaskFailureAction::kRetry;
+  };
+  sched_->submit(ts);
+  ASSERT_EQ(sched_->runs_on_server(0).size(), 2u);
+  cluster_->kill_server(0);
+  sched_->handle_server_failure(0);
+  EXPECT_EQ(failed, (std::vector<int>{0, 1}));
+  sim_->run();
+  EXPECT_EQ(sets_done_, 2);
+}
+
+TEST_F(TaskSchedulerTest, CancelJobDiscardsRunsInLaunchOrder) {
+  reset({.mcf = false, .locality_wait = 0.0}, /*servers=*/2, /*cores=*/2);
+  sched_->submit(make_set(2, 1.0, {{0}, {0}}));  // as above: slots 0, 1
+  sim_->run();
+  auto doomed = make_set(2, 10.0, {{0}, {1}});
+  doomed->job = 5;
+  sched_->submit(doomed);  // task 0 takes slot 1, then task 1 slot 0
+  ASSERT_EQ(sched_->runs_on_server(0).size(), 1u);
+  ASSERT_EQ(sched_->runs_on_server(1).size(), 1u);
+  const std::uint64_t later = sched_->runs_on_server(1)[0];  // task 1
+  sched_->cancel_job(5);
+  EXPECT_EQ(sched_->running_tasks(), 0u);
+  // Discarding in launch order frees task 1's slot last, and the free list
+  // hands out the most recently freed slot first.
+  auto next = make_set(1, 1.0, {{0}});
+  next->job = 6;
+  sched_->submit(next);
+  ASSERT_EQ(sched_->runs_on_server(0).size(), 1u);
+  const std::uint64_t reused = sched_->runs_on_server(0)[0];
+  EXPECT_EQ(static_cast<std::uint32_t>(reused),
+            static_cast<std::uint32_t>(later));
+  EXPECT_NE(reused, later);  // same slot, new generation
+  sim_->run();
+  EXPECT_EQ(sets_done_, 2);
+}
+
+TEST_F(TaskSchedulerTest, PreferredSliceOutOfRangeRejected) {
+  auto ts = make_set(2, 1.0, {{0}, {1}});
+  ts->tasks[1].pref_count = 2;  // runs past the end of ts->preferred
+  EXPECT_THROW(sched_->submit(ts), std::invalid_argument);
 }
 
 }  // namespace
