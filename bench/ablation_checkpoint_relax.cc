@@ -36,7 +36,7 @@ Outcome run(double f, double bound) {
   DatasetPtr prev_dec, prev_res;
   trace::WikiTraceGen wiki({});
   for (int step = 0; step < 12; ++step) {
-    const std::string s = "s" + std::to_string(step) + ".";
+    const std::string s = std::string("s").append(std::to_string(step)) + ".";
     auto hist = std::make_shared<const KeyHistogram>(
         wiki.histogram(kStepBytes, 0.9));
     auto raw = Dataset::source(s + "raw", hist, 8);

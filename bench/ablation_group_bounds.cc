@@ -36,9 +36,9 @@ Point run(Bytes max_group_bytes) {
   trace::WikiTraceGen wiki(wc);
   std::vector<DatasetPtr> inputs;
   for (int i = 0; i < 3; ++i) {
-    inputs.push_back(ctx.ingest("d" + std::to_string(i),
-                                wiki.histogram_spatial(500 * kMiB, 2.5),
-                                part, "logs"));
+    inputs.push_back(ctx.ingest(std::string("d").append(std::to_string(i)),
+                                wiki.histogram_spatial(500 * kMiB, 2.5), part,
+                                "logs"));
   }
   // Steady-state job (caches settled).
   ctx.count(Dataset::cogroup(inputs, part));

@@ -42,7 +42,8 @@ Outcome run(double wait) {
   for (int i = 0; i < 3; ++i) {
     auto hist = std::make_shared<const KeyHistogram>(
         bench::wiki_hourly(i, 500 * kMiB));
-    auto ds = Dataset::source("d" + std::to_string(i), hist, 4)
+    auto ds = Dataset::source(std::string("d").append(std::to_string(i)),
+                              hist, 4)
                   ->partition_by(part, "logs");
     ds->cache();
     groups.report_dataset(*ds);

@@ -48,7 +48,8 @@ Outcome run_with_mcf(bool mcf_on) {
   for (int i = 0; i < 4; ++i) {
     auto hist = std::make_shared<const KeyHistogram>(
         bench::wiki_hourly(i, 400 * kMiB));
-    auto ds = Dataset::source("d" + std::to_string(i), hist, 4)
+    auto ds = Dataset::source(std::string("d").append(std::to_string(i)),
+                              hist, 4)
                   ->partition_by(part, "logs");
     ds->cache();
     groups.report_dataset(*ds);

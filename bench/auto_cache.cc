@@ -146,7 +146,7 @@ CellResult run_cogroup(const Arm& arm, int hours, Bytes per_hour,
 
   std::vector<DatasetPtr> logs;
   for (int h = 0; h < hours; ++h) {
-    logs.push_back(ctx.ingest("hour" + std::to_string(h),
+    logs.push_back(ctx.ingest(std::string("hour").append(std::to_string(h)),
                               bench::wiki_hourly(h, per_hour), part, "logs"));
   }
   auto cg = Dataset::cogroup(logs, part);

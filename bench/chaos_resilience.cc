@@ -49,7 +49,7 @@ RunResult run(ConfigKind kind, bool with_chaos, bool verify_reads = false,
   auto part = ctx.collection_partitioner(kPartitions, 4096);
   std::vector<DatasetPtr> inputs;
   for (int i = 0; i < 3; ++i) {
-    inputs.push_back(ctx.ingest("logs" + std::to_string(i),
+    inputs.push_back(ctx.ingest(std::string("logs").append(std::to_string(i)),
                                 bench::wiki_hourly(i, 200 * kMiB), part,
                                 "logs"));
   }

@@ -29,7 +29,7 @@ RunResult run_cogroup(ConfigKind kind, int num_rdds) {
   std::vector<DatasetPtr> inputs;
   Distribution delays;
   for (int i = 0; i < num_rdds; ++i) {
-    inputs.push_back(ctx.ingest("log" + std::to_string(i),
+    inputs.push_back(ctx.ingest(std::string("log").append(std::to_string(i)),
                                 bench::wiki_hourly(i), part, "logs"));
   }
   // Average of 10 keyword-count queries (the paper averages 10 queries).

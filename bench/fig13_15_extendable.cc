@@ -72,8 +72,11 @@ ConfigRun run_one(ConfigKind kind) {
                                   hist, kPartitions,
                                   static_cast<std::uint64_t>(c * 3 + i + 1)));
       inputs.push_back(ctx.ingest(
-          "c" + std::to_string(c) + "r" + std::to_string(i), std::move(hist),
-          part, "wiki"));
+          std::string("c")
+              .append(std::to_string(c))
+              .append("r")
+              .append(std::to_string(i)),
+          std::move(hist), part, "wiki"));
     }
     // Task input sizes per scheduling unit (Fig 13).
     const auto units = ctx.groups().units_for(*inputs.back());

@@ -27,7 +27,7 @@ struct StepRdds {
 // One step of the Fig 16 application.
 StepRdds build_step(Context& ctx, int step, const PartitionerPtr& part,
                     const DatasetPtr& prev_dec, const DatasetPtr& prev_res) {
-  const std::string s = "s" + std::to_string(step) + ".";
+  const std::string s = std::string("s").append(std::to_string(step)) + ".";
   auto hist = std::make_shared<const KeyHistogram>(
       bench::wiki_hourly(step, kStepBytes));
   auto raw = Dataset::source(s + "raw", hist, 8);

@@ -159,7 +159,7 @@ ScenarioResult backlog_storm(double scale) {
   auto part = ctx.collection_partitioner(kPartitions, 4096);
   std::vector<DatasetPtr> inputs;
   for (int i = 0; i < 3; ++i) {
-    inputs.push_back(ctx.ingest("storm" + std::to_string(i),
+    inputs.push_back(ctx.ingest(std::string("storm").append(std::to_string(i)),
                                 bench::wiki_hourly(i, 150 * kMiB), part,
                                 "storm"));
   }
@@ -291,7 +291,7 @@ ScenarioResult chaos_soak(double scale) {
   auto part = ctx.collection_partitioner(kPartitions, 4096);
   std::vector<DatasetPtr> inputs;
   for (int i = 0; i < 3; ++i) {
-    inputs.push_back(ctx.ingest("soak" + std::to_string(i),
+    inputs.push_back(ctx.ingest(std::string("soak").append(std::to_string(i)),
                                 bench::wiki_hourly(i, 200 * kMiB), part,
                                 "soak"));
   }
@@ -366,9 +366,8 @@ ScenarioResult multitenant_fanout(double scale) {
   auto part = ctx.collection_partitioner(kPartitions, 4096);
   std::vector<DatasetPtr> inputs;
   for (int i = 0; i < 3; ++i) {
-    inputs.push_back(ctx.ingest("mt" + std::to_string(i),
-                                bench::wiki_hourly(i, 200 * kMiB), part,
-                                "mt"));
+    inputs.push_back(ctx.ingest(std::string("mt").append(std::to_string(i)),
+                                bench::wiki_hourly(i, 200 * kMiB), part, "mt"));
   }
 
   const SimTime t0 = ctx.sim().now();

@@ -71,7 +71,7 @@ RunResult run(bool mitigate, double intensity, int jobs) {
   auto part = ctx.collection_partitioner(kPartitions, 4096);
   std::vector<DatasetPtr> inputs;
   for (int i = 0; i < 3; ++i) {
-    inputs.push_back(ctx.ingest("logs" + std::to_string(i),
+    inputs.push_back(ctx.ingest(std::string("logs").append(std::to_string(i)),
                                 bench::wiki_hourly(i, 200 * kMiB), part,
                                 "logs"));
   }
@@ -105,7 +105,7 @@ RunResult run(bool mitigate, double intensity, int jobs) {
       // fetch phase the hedging machinery can act on.
       auto shuffled = filtered->partition_by(
           std::make_shared<HashPartitioner>(kReducePartitions), "",
-          "tail.q" + std::to_string(q));
+          std::string("tail.q").append(std::to_string(q)));
       ctx.dag().submit(shuffled, ActionType::kCount, {},
                        [&](const JobResult& r) {
         if (r.completed) {

@@ -45,8 +45,10 @@ int main() {
     ctx.sim().run(ctx.sim().now() + 75.0);
     auto hist = std::make_shared<const KeyHistogram>(
         wiki.histogram(150 * kMiB, 0.9));
-    auto data = Dataset::source("step" + std::to_string(step), hist, 4)
-                    ->partition_by(part, "state");
+    auto data =
+        Dataset::source(std::string("step").append(std::to_string(step)), hist,
+                        4)
+            ->partition_by(part, "state");
     auto new_state = state.update(data);
     metrics.observe_job(ctx.count(new_state->filter({.selectivity = 0.02})));
     std::printf(

@@ -30,17 +30,17 @@ int main() {
   for (int hour = 0; hour < 12; ++hour) {
     // Load this hour's log dataset; evict beyond a 6-hour window.
     auto ds =
-        ctx.ingest("hour" + std::to_string(hour), wiki.hourly_histogram(hour),
-                   part, "syslogs");
+        ctx.ingest(std::string("hour").append(std::to_string(hour)),
+                   wiki.hourly_histogram(hour), part, "syslogs");
     window.push_back(ds);
     if (window.size() > 6) {
       auto old = window.front();
       window.pop_front();
       // Uncache + drop every stored copy (RAM, remote pool, disk) and veto
-      // in-flight re-inserts, in one call. Setting a mode on
-      // ContextOptions::auto_cache instead makes the advisor do this
-      // automatically after a dataset's last consuming stage
-      // (docs/CACHING.md).
+      // in-flight re-inserts, in one call. The cache advisor
+      // (ContextOptions::auto_cache) would not do this for us: it never
+      // revokes a cache request the application made itself while a
+      // handle to the dataset is still around (docs/CACHING.md).
       const Bytes dropped = ctx.dag().retire_dataset(old);
       std::printf("  [t=%5.0fs] retired %s (%s freed)\n", ctx.sim().now(),
                   old->name().c_str(), format_bytes(dropped).c_str());

@@ -30,7 +30,7 @@ int main() {
   DatasetPtr prev_dec, prev_res;
 
   for (int step = 0; step < 10; ++step) {
-    const std::string s = "s" + std::to_string(step) + ".";
+    const std::string s = std::string("s").append(std::to_string(step)) + ".";
     auto hist = std::make_shared<const KeyHistogram>(
         wiki.hourly_histogram(step));
     auto raw = Dataset::source(s + "raw", hist, 8);

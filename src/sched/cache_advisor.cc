@@ -106,9 +106,9 @@ void CacheAdvisor::on_stage_release(DatasetId id, SimTime now) {
   if (e.live_stages <= 0) return;
   if (--e.live_stages > 0) return;
   // Last consuming stage completed: the dataset is dead in the submitted
-  // DAG. Queue cached footprints for the grace-period sweep (an expired
-  // weak_ptr means the application dropped its handle — any blocks it left
-  // behind are unreachable and equally reclaimable).
+  // DAG. Queue cached footprints for the grace-period sweep. An
+  // application-cached dataset stays queued while the application holds
+  // it: the sweep frees it only once its handle expires.
   e.dead_since = now;
   const DatasetPtr ds = e.ds.lock();
   if (ds == nullptr || ds->cache_requested()) pending_free_.insert(id);
@@ -147,16 +147,27 @@ void CacheAdvisor::sweep(SimTime now) {
 }
 
 bool CacheAdvisor::try_free(DatasetId id, Entry& e, SimTime now) {
-  fold_decay(e, now);
-  if (e.score + e.read_score >= options_.protect_threshold) {
-    // Hot by the reuse sampler: keep it cached. The entry stays queued —
-    // if the evidence decays without fresh references, a later sweep
-    // reclaims it.
-    if (!e.protect_counted) {
-      ++stats_.frees_protected;
-      e.protect_counted = true;
+  // Lineage holds parents by shared_ptr, so an expired handle means nothing
+  // can read the dataset again: its leftovers are reclaimed outright.
+  const bool reachable = !e.ds.expired();
+  if (reachable) {
+    fold_decay(e, now);
+    if (e.score + e.read_score >= options_.protect_threshold) {
+      // Hot by the reuse sampler: keep it cached. The entry stays queued —
+      // if the evidence decays without fresh references, a later sweep
+      // reclaims it.
+      if (!e.protect_counted) {
+        ++stats_.frees_protected;
+        e.protect_counted = true;
+      }
+      return false;
     }
-    return false;
+    // Ownership: a reachable dataset is freed only when the advisor itself
+    // requested its caching. One the application cached and still holds is
+    // alive whatever the submitted DAG says; it leaves the cache through
+    // eviction or the application's own uncache() / retire_dataset, and
+    // stays queued here in case its handle expires later.
+    if (!e.auto_cached) return false;
   }
   // Never drop a block a running task pinned (speculative duplicates and
   // parked resubmissions hold pins until their run resources release);

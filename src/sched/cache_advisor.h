@@ -15,13 +15,20 @@
 //    thrash) its cached footprint is dropped from every tier: RAM replicas,
 //    the remote-memory pool and local spill copies.
 //
+//  * Ownership and reachability. Dead in the DAG is only a guess, and it
+//    must never cost more than leaving the data cached: the advisor frees
+//    only datasets it promoted itself, or cached datasets the application
+//    can no longer reach (their last handle expired). A dataset the
+//    application cached and still holds is never freed or uncached; it
+//    leaves the cache through eviction or the application's own uncache()
+//    / DagScheduler::retire_dataset.
+//
 //  * Cross-job reuse scoring. A decaying (DAMON-style, half-life
 //    `decay_half_life`) score accumulates evidence that a dataset is reused
 //    across jobs: +1 whenever a *different* job references it again, plus a
 //    fractional bump per sampled cache read. Datasets whose total decayed
-//    evidence sits above `protect_threshold` are never auto-freed — this is
-//    what keeps ingested base collections cached while one-shot session
-//    intermediates are reclaimed.
+//    evidence sits above `protect_threshold` are never auto-freed, so a
+//    promotion that keeps paying off is not revoked between uses.
 //
 //  * Auto-cache selection (kFull). At job submit, uncached non-source
 //    intermediates are ranked by expected_reuse x recompute_cost / size —
@@ -71,15 +78,15 @@ struct AutoCacheOptions {
   // Half-life (simulated seconds) of the decaying cross-job reuse score.
   double decay_half_life = 600.0;
   // Total decayed reuse evidence (cross-job score + sampled-read score) at
-  // or above which a dead dataset is protected from auto-free. A one-shot
-  // session intermediate peaks at ~2 (one cross-job reference + one full
-  // read by the follow-up), so the default keeps anything referenced by at
-  // least two independent consumers while session leftovers stay
-  // reclaimable.
+  // or above which a dead, reachable promotion is kept. A one-shot
+  // intermediate peaks at ~2 (one cross-job reference + one full read by
+  // the follow-up), so the default keeps anything referenced by at least
+  // two independent consumers. Unreachable datasets are never protected.
   double protect_threshold = 2.5;
   // A dataset must stay dead (no live stage references) this long before
   // its storage is reclaimed; re-references during the grace period cancel
-  // the free. Bounds the cost of mispredicting a session's last job.
+  // the free. Bounds the cost of revoking a promotion just before its next
+  // use.
   double free_grace_seconds = 30.0;
 
   bool enabled() const noexcept { return mode != AutoCacheMode::kManual; }
@@ -120,13 +127,15 @@ class CacheAdvisor {
   void on_stage_reference(const DatasetPtr& ds, JobId job, SimTime now);
   // The matching release, called exactly once per charged (stage, dataset)
   // when the stage truly completes or its job aborts. A count reaching
-  // zero marks the dataset dead and queues it for the grace-period sweep.
+  // zero marks the dataset dead and, if it is cached, queues it for the
+  // grace-period sweep.
   void on_stage_release(DatasetId id, SimTime now);
   // Access sampler feed: a task plan served this dataset's partition from
   // executor RAM (recency/frequency evidence against auto-freeing it).
   void on_block_read(const Dataset& ds, SimTime now);
-  // Reclaim datasets dead past the grace period. Piggybacks on job submit
-  // and job completion; never scheduled as a standing event.
+  // Reclaim datasets dead past the grace period that the advisor promoted
+  // or the application can no longer reach. Piggybacks on job submit and
+  // job completion; never scheduled as a standing event.
   void sweep(SimTime now);
   // kFull only: rank this job's uncached intermediates and promote the top
   // candidates under the RAM budget. Returns the promoted datasets so the
@@ -165,9 +174,10 @@ class CacheAdvisor {
   };
 
   void fold_decay(Entry& e, SimTime now) const;
-  // Free the dead dataset's storage across all tiers unless it is
-  // protected (reuse score) or deferred (pinned replica). Returns true
-  // when the dataset was actually freed.
+  // Free the dead dataset's storage across all tiers unless the
+  // application still holds a dataset it cached, or it is protected (reuse
+  // score) or deferred (pinned replica). Returns true when the dataset was
+  // actually freed.
   bool try_free(DatasetId id, Entry& e, SimTime now);
 
   Cluster* cluster_;
@@ -175,7 +185,8 @@ class CacheAdvisor {
   RecomputeCostFn recompute_cost_;
   EventFn event_fn_;
   std::unordered_map<DatasetId, Entry> entries_;
-  // Dead cache-requested datasets awaiting their grace period.
+  // Dead cached datasets awaiting their grace period or, when the
+  // application cached them itself, the expiry of their last handle.
   std::unordered_set<DatasetId> pending_free_;
   AutoCacheStats stats_;
   Bytes budget_ = 0.0;         // ram_budget_fraction * aggregate capacity

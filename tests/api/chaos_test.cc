@@ -64,7 +64,8 @@ TEST(Chaos, WorkloadSurvivesChurn) {
   std::vector<DatasetPtr> inputs;
   for (int i = 0; i < 3; ++i) {
     inputs.push_back(
-        ctx.ingest("d" + std::to_string(i), hist(), part, "logs"));
+        ctx.ingest(std::string("d").append(std::to_string(i)), hist(), part,
+                   "logs"));
   }
   ChaosInjector chaos(ctx, {.failures_per_hour = 1200.0,
                             .mean_repair_seconds = 5.0,
@@ -211,7 +212,8 @@ TEST(Chaos, CorruptionProcessIsSeededAndCounted) {
     std::vector<DatasetPtr> inputs;
     for (int i = 0; i < 2; ++i) {
       inputs.push_back(
-          ctx.ingest("d" + std::to_string(i), hist(), part, "logs"));
+          ctx.ingest(std::string("d").append(std::to_string(i)), hist(), part,
+                     "logs"));
     }
     // Materialize cached blocks and shuffle outputs, then corrupt an idle
     // cluster so every arrival sees the same deterministic target list.

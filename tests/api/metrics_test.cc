@@ -79,8 +79,11 @@ TEST(Metrics, SummaryMentionsKeyNumbers) {
   // The probe counts are the scheduler's own, read live.
   const CacheStats& cache = ctx.dag().cache_stats();
   EXPECT_GT(cache.hits, 0);
-  EXPECT_NE(s.find("policy: lru  probes: " + std::to_string(cache.hits) +
-                   " hit / " + std::to_string(cache.misses) + " miss"),
+  EXPECT_NE(s.find(std::string("policy: lru  probes: ")
+                       .append(std::to_string(cache.hits))
+                       .append(" hit / ")
+                       .append(std::to_string(cache.misses))
+                       .append(" miss")),
             std::string::npos);
 }
 
@@ -147,7 +150,8 @@ TEST(Metrics, UtilizationAndSummaryUnderChaos) {
   std::vector<DatasetPtr> inputs;
   for (int i = 0; i < 2; ++i) {
     inputs.push_back(
-        ctx.ingest("d" + std::to_string(i), hist(), part, "logs"));
+        ctx.ingest(std::string("d").append(std::to_string(i)), hist(), part,
+                   "logs"));
   }
   ChaosInjector chaos(ctx, {.failures_per_hour = 600.0,
                             .mean_repair_seconds = 5.0,
@@ -187,10 +191,12 @@ TEST(Metrics, UtilizationAndSummaryUnderChaos) {
   EXPECT_NE(s.find("detections: " +
                    std::to_string(failures.heartbeat_detections)),
             std::string::npos);
-  EXPECT_NE(s.find("retries " + std::to_string(failures.task_retries)),
+  EXPECT_NE(s.find(std::string("retries ").append(
+                std::to_string(failures.task_retries))),
             std::string::npos);
-  EXPECT_NE(s.find("probes: " + std::to_string(ctx.dag().cache_stats().hits) +
-                   " hit"),
+  EXPECT_NE(s.find(std::string("probes: ")
+                       .append(std::to_string(ctx.dag().cache_stats().hits))
+                       .append(" hit")),
             std::string::npos);
 }
 

@@ -137,8 +137,8 @@ TEST(Corruption, ShuffleOutputCorruptionResubmitsMapStage) {
   std::vector<DatasetPtr> inputs;
   for (int i = 0; i < 2; ++i) {
     inputs.push_back(
-        ctx.ingest("d" + std::to_string(i), wiki_hist(100 * kMiB), part,
-                   "logs"));
+        ctx.ingest(std::string("d").append(std::to_string(i)),
+                   wiki_hist(100 * kMiB), part, "logs"));
   }
   auto cg = Dataset::cogroup(inputs, part);
   ASSERT_TRUE(ctx.count(cg).completed);  // materialize shuffle + result
@@ -212,7 +212,7 @@ TEST(Corruption, SameSeedSoakIsBitIdentical) {
     auto part = ctx.collection_partitioner(8, 256);
     std::vector<DatasetPtr> inputs;
     for (int i = 0; i < 2; ++i) {
-      inputs.push_back(ctx.ingest("d" + std::to_string(i),
+      inputs.push_back(ctx.ingest(std::string("d").append(std::to_string(i)),
                                   wiki_hist(80 * kMiB), part, "logs"));
     }
     ChaosInjector chaos(ctx, {.failures_per_hour = 0.0,

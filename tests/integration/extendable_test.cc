@@ -37,8 +37,8 @@ TEST(Extendable, SkewTriggersGroupSplits) {
   Context ctx(stark_e_options());
   auto part = ctx.collection_partitioner(64, 4096);
   for (int i = 0; i < 3; ++i) {
-    ctx.ingest("skewed" + std::to_string(i), wiki_hist(400 * kMiB, 1.2), part,
-               "logs");
+    ctx.ingest(std::string("skewed").append(std::to_string(i)),
+               wiki_hist(400 * kMiB, 1.2), part, "logs");
   }
   const auto* tree = ctx.groups().tree("logs");
   ASSERT_NE(tree, nullptr);
@@ -49,8 +49,8 @@ TEST(Extendable, UniformDataKeepsInitialGroups) {
   Context ctx(stark_e_options());
   auto part = ctx.collection_partitioner(64, 4096);
   for (int i = 0; i < 3; ++i) {
-    ctx.ingest("uniform" + std::to_string(i), wiki_hist(300 * kMiB, 0.0),
-               part, "logs");
+    ctx.ingest(std::string("uniform").append(std::to_string(i)),
+               wiki_hist(300 * kMiB, 0.0), part, "logs");
   }
   const auto* tree = ctx.groups().tree("logs");
   ASSERT_NE(tree, nullptr);
@@ -67,9 +67,8 @@ TEST(Extendable, GroupSizesMoreBalancedThanStatic) {
     auto part = ctx.collection_partitioner(64, 4096);
     std::vector<DatasetPtr> inputs;
     for (int i = 0; i < 3; ++i) {
-      inputs.push_back(ctx.ingest("d" + std::to_string(i),
-                                  wiki_spatial(400 * kMiB, 3.0), part,
-                                  "logs"));
+      inputs.push_back(ctx.ingest(std::string("d").append(std::to_string(i)),
+                                  wiki_spatial(400 * kMiB, 3.0), part, "logs"));
     }
     // Per-task input bytes = per scheduling unit sums.
     const auto units = ctx.groups().units_for(*inputs.back());
@@ -103,7 +102,7 @@ TEST(Extendable, FirstJobAfterSplitRebuildsCachesOnNewExecutors) {
   std::vector<DatasetPtr> inputs;
   // Phase 1: light uniform hours — cached under the initial grouping.
   for (int i = 0; i < 2; ++i) {
-    inputs.push_back(ctx.ingest("calm" + std::to_string(i),
+    inputs.push_back(ctx.ingest(std::string("calm").append(std::to_string(i)),
                                 wiki_hist(150 * kMiB, 0.0), part, "logs"));
   }
   const auto* tree = ctx.groups().tree("logs");
@@ -148,8 +147,8 @@ TEST(Extendable, MergesAfterLoadDrops) {
   const int peak = ctx.groups().tree("logs")->num_groups();
   ASSERT_GT(peak, 8);
   for (int i = 0; i < 3; ++i) {
-    ctx.ingest("small" + std::to_string(i), wiki_hist(30 * kMiB, 0.0), part,
-               "logs");
+    ctx.ingest(std::string("small").append(std::to_string(i)),
+               wiki_hist(30 * kMiB, 0.0), part, "logs");
   }
   EXPECT_LT(ctx.groups().tree("logs")->num_groups(), peak);
 }
@@ -162,8 +161,8 @@ TEST(Extendable, BaseGetPartitionUnchangedBySplits) {
   std::vector<int> before;
   for (Key k = 0; k < 4096; k += 37) before.push_back(part->get_partition(k));
   for (int i = 0; i < 3; ++i) {
-    ctx.ingest("d" + std::to_string(i), wiki_hist(500 * kMiB, 1.3), part,
-               "logs");
+    ctx.ingest(std::string("d").append(std::to_string(i)),
+               wiki_hist(500 * kMiB, 1.3), part, "logs");
   }
   std::size_t idx = 0;
   for (Key k = 0; k < 4096; k += 37) {

@@ -57,7 +57,8 @@ Outcome run_queries(bool speculate, bool slowness) {
   std::vector<DatasetPtr> inputs;
   for (int i = 0; i < 2; ++i) {
     inputs.push_back(
-        ctx.ingest("d" + std::to_string(i), hist(i), part, "logs"));
+        ctx.ingest(std::string("d").append(std::to_string(i)), hist(i), part,
+                   "logs"));
   }
   ctx.cluster().server(0).set_degradation({4.0, 4.0, 12.0});
 
@@ -70,7 +71,7 @@ Outcome run_queries(bool speculate, bool slowness) {
       // Different width forces a real shuffle (and therefore fetches).
       auto shuffled = filtered->partition_by(
           std::make_shared<HashPartitioner>(kReduceParts), "",
-          "fs.q" + std::to_string(q));
+          std::string("fs.q").append(std::to_string(q)));
       ctx.dag().submit(shuffled, ActionType::kCount, {},
                        [&](const JobResult& r) {
                          if (r.completed) {

@@ -25,7 +25,7 @@ TEST(FailureRecovery, JobsCompleteAfterServerLoss) {
   auto part = ctx.collection_partitioner(12, 512);
   std::vector<DatasetPtr> inputs;
   for (int i = 0; i < 3; ++i) {
-    inputs.push_back(ctx.ingest("d" + std::to_string(i),
+    inputs.push_back(ctx.ingest(std::string("d").append(std::to_string(i)),
                                 wiki_hist(120 * kMiB), part, "logs"));
   }
   // Kill a server that holds data, then run a cogroup query.
@@ -66,7 +66,7 @@ TEST(FailureRecovery, RecoveryDelayBoundedByCheckpointing) {
   const double r_bound = 0.15;  // a few map steps' worth of recompute
   auto opt = ctx.make_checkpoint_optimizer(r_bound);
   for (int step = 0; step < 20; ++step) {
-    cur = cur->map({}, "it" + std::to_string(step));
+    cur = cur->map({}, std::string("it").append(std::to_string(step)));
     if (opt.violated(cur)) {
       const auto plan = opt.plan(cur);
       ASSERT_FALSE(plan.to_checkpoint.empty());
@@ -109,8 +109,9 @@ TEST(FailureRecovery, OptimizerCheaperThanEdge) {
     DatasetPtr big = seed->map({}, "big");       // heavy leaf
     DatasetPtr small = big->filter({.selectivity = 0.05}, "small");
     for (int step = 0; step < 12; ++step) {
-      big = big->map({}, "big" + std::to_string(step));
-      small = small->filter({.selectivity = 1.0}, "s" + std::to_string(step));
+      big = big->map({}, std::string("big").append(std::to_string(step)));
+      small = small->filter({.selectivity = 1.0},
+                            std::string("s").append(std::to_string(step)));
       if (use_edge) {
         for (const auto& ds : edge.plan(big, {big, small})) {
           ctx.dag().checkpoint_now(ds);
@@ -151,7 +152,7 @@ TEST(FailureRecovery, ColocalityAddsNoRecoveryPenalty) {
     auto part = ctx.collection_partitioner(12, 512);
     std::vector<DatasetPtr> inputs;
     for (int i = 0; i < 3; ++i) {
-      inputs.push_back(ctx.ingest("d" + std::to_string(i),
+      inputs.push_back(ctx.ingest(std::string("d").append(std::to_string(i)),
                                   wiki_hist(120 * kMiB), part, "logs"));
     }
     ctx.kill_server(1);

@@ -36,8 +36,8 @@ TEST_P(FuzzPipeline, RandomPipelinesCompleteWithSaneMetrics) {
                                rng.uniform(0.0, 1.2));
     auto part = ctx.partitioner_for(hist, partitions, 512);
     if (shared == nullptr) shared = part;
-    inputs.push_back(ctx.ingest("in" + std::to_string(i), std::move(hist),
-                                part, "fuzz"));
+    inputs.push_back(ctx.ingest(std::string("in").append(std::to_string(i)),
+                                std::move(hist), part, "fuzz"));
   }
 
   // Random transformation chain on top of a cogroup.

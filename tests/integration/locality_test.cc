@@ -29,7 +29,8 @@ double cogroup_delay(ConfigKind kind, int num_rdds, Bytes per_rdd) {
     auto hist = wiki_hist(per_rdd);
     if (part == nullptr) part = ctx.partitioner_for(hist, 8, 1024);
     inputs.push_back(
-        ctx.ingest("rdd" + std::to_string(i), std::move(hist), part, "logs"));
+        ctx.ingest(std::string("rdd").append(std::to_string(i)),
+                   std::move(hist), part, "logs"));
   }
   auto cg = Dataset::cogroup(inputs, part);
   auto keyword = cg->filter({.selectivity = 0.01});
@@ -56,7 +57,7 @@ TEST(Colocality, StarkCoGroupRunsNodeLocal) {
   std::vector<DatasetPtr> inputs;
   auto part = ctx.collection_partitioner(8, 1024);
   for (int i = 0; i < 3; ++i) {
-    inputs.push_back(ctx.ingest("rdd" + std::to_string(i),
+    inputs.push_back(ctx.ingest(std::string("rdd").append(std::to_string(i)),
                                 wiki_hist(100 * kMiB), part, "logs"));
   }
   auto cg = Dataset::cogroup(inputs, part);
@@ -72,7 +73,7 @@ TEST(Colocality, CollectionPartitionsShareServers) {
   auto part = ctx.collection_partitioner(8, 1024);
   std::vector<DatasetPtr> inputs;
   for (int i = 0; i < 3; ++i) {
-    inputs.push_back(ctx.ingest("rdd" + std::to_string(i),
+    inputs.push_back(ctx.ingest(std::string("rdd").append(std::to_string(i)),
                                 wiki_hist(50 * kMiB), part, "logs"));
   }
   for (int p = 0; p < 8; ++p) {
@@ -93,7 +94,7 @@ TEST(Colocality, SparkScattersCollectionPartitions) {
   auto part = ctx.collection_partitioner(8, 1024);
   std::vector<DatasetPtr> inputs;
   for (int i = 0; i < 3; ++i) {
-    inputs.push_back(ctx.ingest("rdd" + std::to_string(i),
+    inputs.push_back(ctx.ingest(std::string("rdd").append(std::to_string(i)),
                                 wiki_hist(200 * kMiB), part, "logs"));
   }
   int scattered = 0;
@@ -114,7 +115,8 @@ TEST(Colocality, SparkRShufflesEveryQuery) {
     auto hist = wiki_hist(100 * kMiB, 0.6 + 0.2 * i);
     auto part = ctx.partitioner_for(hist, 8, 1024);
     inputs.push_back(
-        ctx.ingest("rdd" + std::to_string(i), std::move(hist), part, ""));
+        ctx.ingest(std::string("rdd").append(std::to_string(i)),
+                   std::move(hist), part, ""));
   }
   // Query-side sampling pass (randomized like Spark's): never equal to any
   // input's partitioner.
@@ -132,7 +134,7 @@ TEST(Colocality, RepeatedQueriesStayFast) {
   auto part = ctx.collection_partitioner(8, 1024);
   std::vector<DatasetPtr> inputs;
   for (int i = 0; i < 4; ++i) {
-    inputs.push_back(ctx.ingest("rdd" + std::to_string(i),
+    inputs.push_back(ctx.ingest(std::string("rdd").append(std::to_string(i)),
                                 wiki_hist(100 * kMiB), part, "logs"));
   }
   double last = 0.0;

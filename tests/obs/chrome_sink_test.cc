@@ -58,8 +58,10 @@ class JsonParser {
 
  private:
   [[noreturn]] void fail(const std::string& what) const {
-    throw std::runtime_error("JSON error at offset " + std::to_string(pos_) +
-                             ": " + what);
+    throw std::runtime_error(std::string("JSON error at offset ")
+                                 .append(std::to_string(pos_))
+                                 .append(": ")
+                                 .append(what));
   }
   void skip_ws() {
     while (pos_ < text_.size() &&

@@ -83,8 +83,8 @@ TEST(DatasetOps, DescribeKeepsLongNamesWhole) {
                 ->partition_by(part, ns, name);
   ds->cache();
   const std::string d = ds->describe();
-  EXPECT_EQ(d, "[" + std::to_string(ds->id()) + "] " + name +
-                   " <partitionBy> partitions=4 ns=" + ns + " cached " +
+  EXPECT_EQ(d, std::string("[").append(std::to_string(ds->id())) + "] " +
+                   name + " <partitionBy> partitions=4 ns=" + ns + " cached " +
                    part->describe());
 }
 

@@ -54,9 +54,24 @@ class CacheAdvisorTest : public ::testing::Test {
     return ds;
   }
 
+  // Like make_cached, but a narrow view of the shuffled dataset. The
+  // scheduler keeps every shuffle's producer edge, and with it the
+  // shuffled dataset, so only a narrow child becomes unreachable when the
+  // test drops its handle.
+  DatasetPtr make_cached_view() {
+    auto ds = make_dataset()->filter({.selectivity = 0.9}, "view");
+    ds->cache(Dataset::StorageLevel::kMemorySerialized);
+    dag_->run_job(ds);
+    return ds;
+  }
+
   bool cached_anywhere(const DatasetPtr& ds) {
-    for (int p = 0; p < ds->num_partitions(); ++p) {
-      if (cluster_->cached_anywhere({ds->id(), p})) return true;
+    return cached_anywhere(ds->id(), ds->num_partitions());
+  }
+  // By id, for datasets whose handle the test has already dropped.
+  bool cached_anywhere(DatasetId id, int num_partitions = 4) {
+    for (int p = 0; p < num_partitions; ++p) {
+      if (cluster_->cached_anywhere({id, p})) return true;
     }
     return false;
   }
@@ -105,17 +120,18 @@ TEST_F(CacheAdvisorTest, OptionsValidateRejectsBadKnobs) {
 
 TEST_F(CacheAdvisorTest, AutoFreeReclaimsDeadDatasetAfterGrace) {
   reset(advisor_opts(AutoCacheMode::kAutoFreeOnly));
-  auto ds = make_cached();
+  auto ds = make_cached_view();
+  const DatasetId id = ds->id();
   dag_->run_job(ds->filter({.selectivity = 0.5}));
+  ds.reset();  // the application drops its last handle: unreachable
   // Back-to-back follow-up inside the grace period: nothing is freed.
   dag_->run_job(make_dataset());
-  EXPECT_TRUE(cached_anywhere(ds));
+  EXPECT_TRUE(cached_anywhere(id));
   EXPECT_EQ(dag_->auto_cache_stats().auto_frees, 0);
   // Dead past the grace period: the next sweep reclaims every tier.
   advance(60.0);
   dag_->run_job(make_dataset());
-  EXPECT_FALSE(cached_anywhere(ds));
-  EXPECT_FALSE(ds->cache_requested());
+  EXPECT_FALSE(cached_anywhere(id));
   const AutoCacheStats& s = dag_->auto_cache_stats();
   EXPECT_EQ(s.auto_frees, 1);
   EXPECT_GT(s.bytes_freed, 0.0);
@@ -141,23 +157,82 @@ TEST_F(CacheAdvisorTest, RepeatedlyReferencedDatasetIsProtected) {
 
 TEST_F(CacheAdvisorTest, PinnedBlockDefersFreeUntilUnpinned) {
   reset(advisor_opts(AutoCacheMode::kAutoFreeOnly));
-  auto ds = make_cached();
+  auto ds = make_cached_view();
+  const DatasetId id = ds->id();
   dag_->run_job(ds->filter({.selectivity = 0.5}));
+  ds.reset();  // unreachable, so only the pin stands between it and a free
   // Pin one replica (as a running task would): the sweep must defer.
-  const BlockId bid{ds->id(), 0};
+  const BlockId bid{id, 0};
   const auto locs = cluster_->cache_locations(bid);
   ASSERT_FALSE(locs.empty());
   ASSERT_TRUE(cluster_->server(locs.front()).storage().pin(bid));
   advance(60.0);
   dag_->run_job(make_dataset());
-  EXPECT_TRUE(cached_anywhere(ds));
+  EXPECT_TRUE(cached_anywhere(id));
   EXPECT_GE(dag_->auto_cache_stats().frees_deferred, 1);
   EXPECT_EQ(dag_->auto_cache_stats().auto_frees, 0);
   // Unpin: the next sweep reclaims it.
   ASSERT_TRUE(cluster_->server(locs.front()).storage().unpin(bid));
   dag_->run_job(make_dataset());
-  EXPECT_FALSE(cached_anywhere(ds));
+  EXPECT_FALSE(cached_anywhere(id));
   EXPECT_EQ(dag_->auto_cache_stats().auto_frees, 1);
+}
+
+TEST_F(CacheAdvisorTest, HeldDeadDatasetKeepsItsCacheRequest) {
+  // Dead in the submitted DAG is only a guess: while the application holds
+  // its handle it can submit another job over the dataset at any time.
+  reset(advisor_opts(AutoCacheMode::kAutoFreeOnly));
+  auto ds = make_cached_view();
+  dag_->run_job(ds->filter({.selectivity = 0.5}));
+  for (int i = 0; i < 3; ++i) {
+    advance(600.0);
+    dag_->run_job(make_dataset());  // a sweep well past the grace period
+  }
+  EXPECT_TRUE(cached_anywhere(ds));
+  EXPECT_TRUE(ds->cache_requested());
+  EXPECT_EQ(dag_->auto_cache_stats().auto_frees, 0);
+  // The later job reads it from cache instead of recomputing it.
+  const JobResult r = dag_->run_job(ds->filter({.selectivity = 0.5}));
+  EXPECT_GT(r.bytes_from_cache, 0.0);
+}
+
+TEST_F(CacheAdvisorTest, HandleDroppedAfterReleaseIsReclaimedLater) {
+  reset(advisor_opts(AutoCacheMode::kAutoFreeOnly));
+  auto ds = make_cached_view();
+  const DatasetId id = ds->id();
+  dag_->run_job(ds->filter({.selectivity = 0.5}));
+  advance(60.0);
+  dag_->run_job(make_dataset());  // past the grace period, but still held
+  ASSERT_TRUE(cached_anywhere(id));
+  ASSERT_EQ(dag_->auto_cache_stats().auto_frees, 0);
+  // The handle expires long after the last stage released the dataset: it
+  // stayed queued, so the next sweep reclaims it.
+  ds.reset();
+  dag_->run_job(make_dataset());
+  EXPECT_FALSE(cached_anywhere(id));
+  EXPECT_EQ(dag_->auto_cache_stats().auto_frees, 1);
+  EXPECT_GT(dag_->auto_cache_stats().bytes_freed, 0.0);
+}
+
+TEST_F(CacheAdvisorTest, FullModeFreesItsOwnPromotionAfterGrace) {
+  // The advisor owns the cache request of a dataset it promoted, so it may
+  // revoke it even while the application still holds the handle.
+  reset(advisor_opts(AutoCacheMode::kFull));
+  auto inter = make_dataset();
+  dag_->run_job(inter->filter({.selectivity = 0.5}));
+  dag_->run_job(inter->filter({.selectivity = 0.5}));  // promotes it
+  ASSERT_TRUE(inter->cache_requested());
+  ASSERT_TRUE(cached_anywhere(inter));
+  ASSERT_EQ(dag_->auto_cache_stats().auto_caches, 1);
+  // Inside the grace period nothing is freed.
+  dag_->run_job(make_dataset());
+  EXPECT_TRUE(cached_anywhere(inter));
+  advance(60.0);
+  dag_->run_job(make_dataset());
+  EXPECT_FALSE(cached_anywhere(inter));
+  EXPECT_FALSE(inter->cache_requested());
+  EXPECT_EQ(dag_->auto_cache_stats().auto_frees, 1);
+  EXPECT_EQ(dag_->cache_advisor()->promoted_bytes_live(), 0.0);
 }
 
 TEST_F(CacheAdvisorTest, StillReferencedDatasetIsNeverFreed) {

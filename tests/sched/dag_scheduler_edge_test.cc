@@ -41,7 +41,8 @@ TEST_F(DagEdgeTest, UnionJobRunsAsOneStageOverCachedParents) {
   auto part = std::make_shared<HashPartitioner>(8);
   std::vector<DatasetPtr> parts;
   for (int i = 0; i < 3; ++i) {
-    auto ds = Dataset::source("s" + std::to_string(i), hist(), 2)
+    auto ds = Dataset::source(std::string("s").append(std::to_string(i)),
+                              hist(), 2)
                   ->partition_by(part);
     ds->cache();
     dag_->run_job(ds);

@@ -115,7 +115,8 @@ TEST_F(DagSchedulerTest, CoGroupOfCachedCoPartitionedInputsIsOneStage) {
   auto part = std::make_shared<HashPartitioner>(8);
   std::vector<DatasetPtr> inputs;
   for (int i = 0; i < 3; ++i) {
-    auto ds = Dataset::source("s" + std::to_string(i), hist(), 4)
+    auto ds = Dataset::source(std::string("s").append(std::to_string(i)),
+                              hist(), 4)
                   ->partition_by(part);
     ds->cache();
     dag_->run_job(ds);
@@ -195,7 +196,8 @@ TEST_F(DagSchedulerTest, GcChargedUnderMemoryPressure) {
   std::vector<DatasetPtr> inputs;
   for (int i = 0; i < 6; ++i) {
     auto ds =
-        Dataset::source("s" + std::to_string(i), hist(1.5 * kGiB), 4)
+        Dataset::source(std::string("s").append(std::to_string(i)),
+                        hist(1.5 * kGiB), 4)
             ->partition_by(part);
     ds->cache();
     dag_->run_job(ds);
@@ -213,7 +215,8 @@ TEST_F(DagSchedulerTest, LocalityHomesDriveplacement) {
   groups_->register_namespace("ns", part, {});
   std::vector<DatasetPtr> inputs;
   for (int i = 0; i < 2; ++i) {
-    auto ds = Dataset::source("s" + std::to_string(i), hist(), 2)
+    auto ds = Dataset::source(std::string("s").append(std::to_string(i)),
+                              hist(), 2)
                   ->partition_by(part, "ns");
     ds->cache();
     dag_->run_job(ds);

@@ -82,7 +82,8 @@ TEST(Deadline, FiresMidFetchFailureResubmissionWithoutLeaks) {
   std::vector<DatasetPtr> inputs;
   for (int i = 0; i < 2; ++i) {
     inputs.push_back(
-        ctx.ingest("d" + std::to_string(i), hist(), part, "logs"));
+        ctx.ingest(std::string("d").append(std::to_string(i)), hist(), part,
+                   "logs"));
   }
   // Losing a map-output host sends the cogroup's reduce tasks into
   // FetchFailed -> map-stage resubmission.

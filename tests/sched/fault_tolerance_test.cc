@@ -92,7 +92,8 @@ TEST(FaultTolerance, FetchFailureResubmitsTheMapStage) {
   std::vector<DatasetPtr> inputs;
   for (int i = 0; i < 2; ++i) {
     inputs.push_back(
-        ctx.ingest("d" + std::to_string(i), hist(), part, "logs"));
+        ctx.ingest(std::string("d").append(std::to_string(i)), hist(), part,
+                   "logs"));
   }
   // The ingests built shuffle outputs on every server; losing one forces
   // the cogroup's reduce tasks into FetchFailed -> map-stage resubmission.
@@ -173,7 +174,8 @@ TEST(FaultTolerance, FreeServerListMatchesARecountUnderChaos) {
   std::vector<DatasetPtr> inputs;
   for (int i = 0; i < 2; ++i) {
     inputs.push_back(
-        ctx.ingest("d" + std::to_string(i), hist(), part, "logs"));
+        ctx.ingest(std::string("d").append(std::to_string(i)), hist(), part,
+                   "logs"));
   }
   ChaosInjector chaos(ctx, {.failures_per_hour = 1800.0,
                             .mean_repair_seconds = 4.0,

@@ -96,7 +96,7 @@ TEST(GroupManager, WindowSizeBoundsAccountedRdds) {
   f.groups.register_namespace("ns", p, gc);
   for (int i = 0; i < 6; ++i) {
     auto src = Dataset::source(
-        "s" + std::to_string(i),
+        std::string("s").append(std::to_string(i)),
         std::make_shared<const KeyHistogram>(f.hist(300 * kMiB, 0.0)), 4);
     auto ds = src->partition_by(p, "ns");
     f.groups.report_dataset(*ds);

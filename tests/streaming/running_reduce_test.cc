@@ -26,7 +26,8 @@ class RunningReduceTest : public ::testing::Test {
     c.num_urls = 256;
     auto hist = std::make_shared<const KeyHistogram>(
         trace::WikiTraceGen(c).histogram(bytes, 0.9));
-    return Dataset::source("step" + std::to_string(i), hist, 2)
+    return Dataset::source(std::string("step").append(std::to_string(i)),
+                           hist, 2)
         ->partition_by(part_);
   }
 
