@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "common/log.h"
 
@@ -178,7 +179,7 @@ void DagScheduler::start_job(Job& ref) {
     groups_->note_dataset(*ds);
   }
 
-  build_stage(ref, ref.final, std::nullopt);
+  build_stage(ref, ref.final, nullptr);
   ref.result.num_stages = static_cast<int>(ref.stages.size());
 
   if (advisor_) {
@@ -359,16 +360,16 @@ OverloadStats& DagScheduler::tenant_stats(TenantId tenant) {
 }
 
 DagScheduler::StageRun* DagScheduler::build_stage(
-    Job& job, const DatasetPtr& boundary, std::optional<ShuffleEdge> output) {
+    Job& job, const DatasetPtr& boundary, Shuffle* output) {
   auto stage = std::make_unique<StageRun>();
   stage->id = next_stage_id_++;
   stage->job = &job;
   stage->boundary = boundary;
-  stage->output = std::move(output);
+  stage->output = output;
   stage->chain = collect_stage_chain(
       boundary, [this](DatasetId id) { return is_checkpointed(id); });
   stage->breakdown.stage = stage->id;
-  stage->breakdown.shuffle_map = stage->output.has_value();
+  stage->breakdown.shuffle_map = output != nullptr;
   StageRun* raw = stage.get();
   job.stages.push_back(std::move(stage));
   ++job.stages_remaining;
@@ -398,14 +399,18 @@ DagScheduler::StageRun* DagScheduler::build_stage(
     for (const auto& ds : raw->chain.datasets) retired_.erase(ds->id());
   }
 
+  raw->inputs.reserve(raw->chain.shuffle_deps.size());
   for (const auto& edge : raw->chain.shuffle_deps) {
-    const ShuffleKey key = edge.key();
-    shuffle_edges_.try_emplace(key, edge);  // remember the producer edge
-    if (shuffle_done_.contains(key)) continue;
+    const auto [it, created] = shuffles_.try_emplace(edge.key());
+    Shuffle& sh = it->second;
+    if (created) sh.edge = edge;
+    raw->inputs.push_back(&sh);
+    if (sh.done()) continue;
     ++raw->waiting_parents;
-    shuffle_waiters_[key].push_back(raw);
-    if (shuffle_building_.insert(key).second) {
-      build_stage(job, edge.map_side(), edge);
+    sh.waiters.push_back(raw);
+    if (sh.state != Shuffle::State::kBuilding) {
+      sh.state = Shuffle::State::kBuilding;
+      build_stage(job, edge.map_side(), &sh);
     }
   }
   return raw;
@@ -417,11 +422,10 @@ bool DagScheduler::output_host_healthy(ServerId s) const {
   return srv.alive() && srv.reachable();
 }
 
-bool DagScheduler::shuffle_healthy(const ShuffleKey& key) const {
-  const auto it = map_outputs_.find(key);
-  if (it == map_outputs_.end() || it->second.empty()) return false;
-  for (const ServerId h : it->second) {
-    if (!output_host_healthy(h)) return false;
+bool DagScheduler::shuffle_healthy(const Shuffle& sh) const {
+  if (sh.units.empty()) return false;
+  for (const Shuffle::Unit& u : sh.units) {
+    if (!output_host_healthy(u.host)) return false;
   }
   return true;
 }
@@ -439,24 +443,12 @@ void DagScheduler::maybe_launch(StageRun& stage) {
   // unit-count change (Stark-E regrouping) forces a full rebuild.
   std::vector<std::size_t> todo;
   todo.reserve(units.size());
-  if (stage.output.has_value()) {
-    auto& outs = map_outputs_[stage.output->key()];
-    if (outs.size() != units.size()) {
-      outs.assign(units.size(), kInvalidId);
-    }
-    // One probe for the corruption shadow instead of one per unit, and
-    // none while no shuffle output was ever corrupted (an absent entry
-    // reads as all-clean).
-    std::vector<char>* corr = nullptr;
-    if (const auto cit = map_output_corrupt_.find(stage.output->key());
-        cit != map_output_corrupt_.end()) {
-      corr = &cit->second;
-      if (corr->size() != units.size()) corr->assign(units.size(), 0);
-    }
+  if (stage.output != nullptr) {
+    Shuffle& sh = *stage.output;
+    if (sh.units.size() != units.size()) sh.units.assign(units.size(), {});
     for (std::size_t i = 0; i < units.size(); ++i) {
-      if (output_host_healthy(outs[i])) continue;
-      outs[i] = kInvalidId;
-      if (corr != nullptr) (*corr)[i] = 0;
+      if (output_host_healthy(sh.units[i].host)) continue;
+      sh.invalidate(i);
       todo.push_back(i);
     }
     if (todo.empty()) {
@@ -477,7 +469,7 @@ void DagScheduler::maybe_launch(StageRun& stage) {
     e.stage = stage.id;
     e.attempt = stage.attempts;
     e.task_index = static_cast<int>(todo.size());  // tasks in this launch
-    if (stage.output.has_value()) e.flags |= obs::kFlagShuffleMap;
+    if (stage.output != nullptr) e.flags |= obs::kFlagShuffleMap;
     tracer_->emit(e);
   }
 
@@ -513,27 +505,15 @@ void DagScheduler::maybe_launch(StageRun& stage) {
     // Replica learning happens at the block level (see api::Context's block
     // observer): any namespaced block materializing on an executor makes it
     // an additional home for its unit.
-    if (stage_ptr->output.has_value()) {
-      // MapOutputTracker registration.
-      const ShuffleKey key = stage_ptr->output->key();
-      auto& outs = map_outputs_[key];
+    if (stage_ptr->output != nullptr) {
+      // MapOutputTracker registration: a re-registered unit is a clean
+      // rewrite, and if its corruption was detected earlier it now counts
+      // repaired.
       const int pos =
           stage_ptr->task_unit_pos[static_cast<std::size_t>(task.index)];
-      outs[static_cast<std::size_t>(pos)] = m.server;
-      // A re-registered unit is a clean rewrite: its checksum tag is fresh,
-      // and if its corruption was detected earlier it now counts repaired.
-      // Both maps are empty unless corruption faults are on; skip the
-      // ShuffleKey hashes entirely in the fault-free common case.
-      if (!map_output_corrupt_.empty()) {
-        clear_corrupt_flag(key, static_cast<std::size_t>(pos));
-      }
-      if (!pending_shuffle_repair_.empty()) {
-        const auto rit = pending_shuffle_repair_.find(key);
-        if (rit != pending_shuffle_repair_.end() &&
-            rit->second.erase(pos) > 0) {
-          ++stats_.corruptions_repaired;
-          if (rit->second.empty()) pending_shuffle_repair_.erase(rit);
-        }
+      if (stage_ptr->output->register_output(static_cast<std::size_t>(pos),
+                                             m.server)) {
+        ++stats_.corruptions_repaired;
       }
     }
     JobResult& r = stage_ptr->job->result;
@@ -582,14 +562,13 @@ void DagScheduler::maybe_launch(StageRun& stage) {
 void DagScheduler::on_stage_complete(StageRun& stage) {
   Job& job = *stage.job;
   if (job.done) return;
-  if (stage.output.has_value()) {
-    const ShuffleKey key = stage.output->key();
+  if (stage.output != nullptr) {
+    Shuffle& sh = *stage.output;
     // An executor lost mid-stage can leave holes even though every task of
     // the (reduced) set finished: relaunch just the missing units.
-    auto& outs = map_outputs_[key];
     bool complete = true;
-    for (const ServerId h : outs) {
-      if (!output_host_healthy(h)) {
+    for (const Shuffle::Unit& u : sh.units) {
+      if (!output_host_healthy(u.host)) {
         complete = false;
         break;
       }
@@ -597,6 +576,7 @@ void DagScheduler::on_stage_complete(StageRun& stage) {
     if (!complete) {
       ++stage.attempts;
       if (stage.attempts > options_.faults.max_stage_attempts) {
+        const ShuffleKey key = sh.edge.key();
         abort_job(job, "map stage for shuffle " + std::to_string(key.child) +
                            "/" + std::to_string(key.dep_index) + " failed " +
                            std::to_string(stage.attempts) + " attempts");
@@ -618,30 +598,19 @@ void DagScheduler::on_stage_complete(StageRun& stage) {
       maybe_launch(stage);
       return;
     }
-    shuffle_done_.insert(key);
-    shuffle_building_.erase(key);
+    sh.state = Shuffle::State::kDone;
     // Spark limits *consecutive* failed attempts: success clears the
     // count so unrelated failures over a long-lived stage never add up
     // to an abort.
     stage.attempts = 0;
     shuffle_bytes_ += stage.boundary->total_bytes();
-    const auto it = shuffle_waiters_.find(key);
-    if (it != shuffle_waiters_.end()) {
-      const auto waiters = std::move(it->second);
-      shuffle_waiters_.erase(it);
-      for (StageRun* w : waiters) {
-        --w->waiting_parents;
-        maybe_launch(*w);
-      }
+    for (StageRun* w : std::exchange(sh.waiters, {})) {
+      --w->waiting_parents;
+      maybe_launch(*w);
     }
     // Reduce stages parked on a FetchFailed for this shuffle resume.
-    const auto fit = fetch_waiters_.find(key);
-    if (fit != fetch_waiters_.end()) {
-      const auto parked = std::move(fit->second);
-      fetch_waiters_.erase(fit);
-      for (StageRun* w : parked) {
-        task_scheduler_.unpark(w->job->id, w->id);
-      }
+    for (StageRun* w : std::exchange(sh.fetch_waiters, {})) {
+      task_scheduler_.unpark(w->job->id, w->id);
     }
   }
   // Past every relaunch path: the stage is truly done, drop its lineage
@@ -654,7 +623,7 @@ void DagScheduler::on_stage_complete(StageRun& stage) {
     e.job = job.id;
     e.stage = stage.id;
     e.task_index = stage.breakdown.num_tasks;
-    if (stage.output.has_value()) e.flags |= obs::kFlagShuffleMap;
+    if (stage.output != nullptr) e.flags |= obs::kFlagShuffleMap;
     tracer_->emit(e);
   }
   --job.stages_remaining;
@@ -740,26 +709,24 @@ void DagScheduler::abort_job(Job& job, const std::string& reason,
   // completed-stage path never released (no-op for stages that did).
   for (const auto& stage : job.stages) release_lineage_refcounts(*stage);
 
-  // Purge this job's stages from every waiter registry (the StageRun
-  // objects die with the job).
-  const auto purge = [&job](auto& registry) {
-    for (auto it = registry.begin(); it != registry.end();) {
-      auto& v = it->second;
-      std::erase_if(v, [&job](StageRun* w) { return w->job == &job; });
-      it = v.empty() ? registry.erase(it) : std::next(it);
+  // Purge this job's stages from the waiter lists (the StageRun objects
+  // die with the job). A stage only ever waits on its own inputs.
+  const auto of_job = [&job](StageRun* w) { return w->job == &job; };
+  for (const auto& stage : job.stages) {
+    for (Shuffle* in : stage->inputs) {
+      std::erase_if(in->waiters, of_job);
+      std::erase_if(in->fetch_waiters, of_job);
     }
-  };
-  purge(shuffle_waiters_);
-  purge(fetch_waiters_);
+  }
 
   // Map stages this job was building that other jobs wait on become
   // orphans: release the building guard and re-home them below.
-  std::vector<ShuffleKey> orphans;
+  std::vector<Shuffle*> orphans;
   for (const auto& stage : job.stages) {
-    if (!stage->output.has_value()) continue;
-    const ShuffleKey key = stage->output->key();
-    if (shuffle_done_.contains(key)) continue;
-    if (shuffle_building_.erase(key) > 0) orphans.push_back(key);
+    Shuffle* sh = stage->output;
+    if (sh == nullptr || sh->state != Shuffle::State::kBuilding) continue;
+    sh->state = Shuffle::State::kIdle;
+    orphans.push_back(sh);
   }
 
   const JobId id = job.id;
@@ -770,23 +737,20 @@ void DagScheduler::abort_job(Job& job, const std::string& reason,
   }
   jobs_.erase(id);  // `job` is dangling from here on
 
-  for (const ShuffleKey& key : orphans) {
-    const auto wit = shuffle_waiters_.find(key);
-    if (wit == shuffle_waiters_.end() || wit->second.empty()) {
-      // Nobody needs it; a future job will rebuild on demand.
-      continue;
-    }
-    rebuild_shuffle(key, *wit->second.front()->job);
+  for (Shuffle* sh : orphans) {
+    // Nobody waiting: a future job will rebuild on demand. Waiters imply
+    // the shuffle is not done (completion drains them).
+    if (!sh->waiters.empty()) rebuild_shuffle(*sh, *sh->waiters.front()->job);
   }
   drain_admission_queue();
 }
 
-void DagScheduler::rebuild_shuffle(const ShuffleKey& key, Job& owner) {
-  if (!shuffle_building_.insert(key).second) return;  // already in flight
+void DagScheduler::rebuild_shuffle(Shuffle& sh, Job& owner) {
+  if (sh.state == Shuffle::State::kBuilding) return;  // already in flight
+  sh.state = Shuffle::State::kBuilding;
   ++stats_.stage_resubmissions;
-  const ShuffleEdge& edge = shuffle_edges_.at(key);
   const std::size_t before = owner.stages.size();
-  build_stage(owner, edge.map_side(), edge);
+  build_stage(owner, sh.edge.map_side(), &sh);
   if (obs::Tracer::active(tracer_)) {
     // The rebuilt map stage is a fresh StageRun: owner.stages[before].
     obs::TraceEvent e;
@@ -812,7 +776,8 @@ TaskFailureAction DagScheduler::on_task_failed(StageRun& stage,
   }
   ++stats_.fetch_failures;
   const ShuffleKey key = failure.shuffle;
-  if (shuffle_healthy(key)) {
+  Shuffle& sh = shuffles_.at(key);
+  if (shuffle_healthy(sh)) {
     // Stale epoch: the shuffle was rebuilt after this task launched with
     // the old output locations. Spark's DAGScheduler ignores such fetch
     // failures; the task simply reruns against the fresh locations.
@@ -822,20 +787,16 @@ TaskFailureAction DagScheduler::on_task_failed(StageRun& stage,
                   stage.id, key.child, key.dep_index, failure.fetch_source);
   // Invalidate everything the failing host served for this shuffle; the
   // relaunch skips units that survived elsewhere.
-  const auto oit = map_outputs_.find(key);
-  if (oit != map_outputs_.end() && failure.fetch_source != kInvalidId) {
-    for (std::size_t i = 0; i < oit->second.size(); ++i) {
-      if (oit->second[i] == failure.fetch_source) {
-        oit->second[i] = kInvalidId;
-        clear_corrupt_flag(key, i);
-      }
+  if (failure.fetch_source != kInvalidId) {
+    for (std::size_t i = 0; i < sh.units.size(); ++i) {
+      if (sh.units[i].host == failure.fetch_source) sh.invalidate(i);
     }
   }
-  shuffle_done_.erase(key);
+  sh.mark_incomplete();
 
   // First FetchFailed of this round for this reduce stage opens a new stage
   // attempt (spark.stage.maxConsecutiveAttempts).
-  auto& parked = fetch_waiters_[key];
+  auto& parked = sh.fetch_waiters;
   if (std::find(parked.begin(), parked.end(), &stage) == parked.end()) {
     parked.push_back(&stage);
     ++stage.attempts;
@@ -848,7 +809,7 @@ TaskFailureAction DagScheduler::on_task_failed(StageRun& stage,
       return TaskFailureAction::kRetry;  // moot: the set is cancelled
     }
   }
-  rebuild_shuffle(key, *stage.job);
+  rebuild_shuffle(sh, *stage.job);
   return TaskFailureAction::kPark;
 }
 
@@ -860,44 +821,19 @@ void DagScheduler::on_executor_lost(ServerId s, double detection_latency) {
   locality_->on_server_failure(s);
   // MapOutputTracker: every map output hosted there is gone; shuffles that
   // lose outputs are no longer complete and rebuild on demand.
-  for (auto& [key, hosts] : map_outputs_) {
-    // Probe the corruption shadow at most once per shuffle, not per unit.
-    std::vector<char>* corr = nullptr;
-    bool corr_looked_up = false;
+  for (auto& [key, sh] : shuffles_) {
     bool lost = false;
-    for (std::size_t i = 0; i < hosts.size(); ++i) {
-      if (hosts[i] == s) {
-        hosts[i] = kInvalidId;
-        if (!corr_looked_up) {
-          corr_looked_up = true;
-          const auto cit = map_output_corrupt_.find(key);
-          corr = cit != map_output_corrupt_.end() ? &cit->second : nullptr;
-        }
-        if (corr != nullptr && i < corr->size()) (*corr)[i] = 0;
-        lost = true;
-      }
+    for (std::size_t i = 0; i < sh.units.size(); ++i) {
+      if (sh.units[i].host != s) continue;
+      sh.invalidate(i);
+      lost = true;
     }
-    if (lost) shuffle_done_.erase(key);
+    if (lost) sh.mark_incomplete();
   }
   task_scheduler_.handle_server_failure(s);
 }
 
 // --- silent-data-corruption faults ------------------------------------------
-
-std::vector<char>& DagScheduler::corrupt_flags(const ShuffleKey& key,
-                                               std::size_t n) {
-  auto& v = map_output_corrupt_[key];
-  if (v.size() != n) v.assign(n, 0);
-  return v;
-}
-
-void DagScheduler::clear_corrupt_flag(const ShuffleKey& key,
-                                      std::size_t unit) {
-  const auto it = map_output_corrupt_.find(key);
-  if (it != map_output_corrupt_.end() && unit < it->second.size()) {
-    it->second[unit] = 0;
-  }
-}
 
 void DagScheduler::emit_corruption_event(obs::TraceKind kind, ServerId host,
                                          DatasetId dataset, int partition,
@@ -955,16 +891,16 @@ bool DagScheduler::corrupt_remote_block(const BlockId& id) {
 }
 
 bool DagScheduler::corrupt_shuffle_output(const ShuffleKey& key, int unit) {
-  const auto oit = map_outputs_.find(key);
-  if (oit == map_outputs_.end()) return false;
-  if (unit < 0 || static_cast<std::size_t>(unit) >= oit->second.size()) {
+  const auto it = shuffles_.find(key);
+  if (it == shuffles_.end() || unit < 0 ||
+      static_cast<std::size_t>(unit) >= it->second.units.size()) {
     return false;
   }
-  const ServerId host = oit->second[static_cast<std::size_t>(unit)];
+  Shuffle::Unit& u = it->second.units[static_cast<std::size_t>(unit)];
+  const ServerId host = u.host;
   if (!output_host_healthy(host)) return false;
-  auto& corr = corrupt_flags(key, oit->second.size());
-  if (corr[static_cast<std::size_t>(unit)]) return false;  // already corrupt
-  corr[static_cast<std::size_t>(unit)] = 1;
+  if (u.corrupt) return false;  // already corrupt
+  u.corrupt = true;
   ++stats_.corruptions_injected;
   emit_corruption_event(obs::TraceKind::kBlockCorrupt, host, key.child, unit,
                         /*bytes=*/0.0, /*shuffle=*/true);
@@ -974,15 +910,11 @@ bool DagScheduler::corrupt_shuffle_output(const ShuffleKey& key, int unit) {
 std::vector<DagScheduler::ShuffleOutputRef>
 DagScheduler::live_shuffle_outputs() const {
   std::vector<ShuffleOutputRef> out;
-  for (const auto& [key, hosts] : map_outputs_) {
-    const auto cit = map_output_corrupt_.find(key);
-    for (std::size_t i = 0; i < hosts.size(); ++i) {
-      if (!output_host_healthy(hosts[i])) continue;
-      if (cit != map_output_corrupt_.end() && i < cit->second.size() &&
-          cit->second[i]) {
-        continue;
-      }
-      out.push_back({key, static_cast<int>(i), hosts[i]});
+  for (const auto& [key, sh] : shuffles_) {
+    for (std::size_t i = 0; i < sh.units.size(); ++i) {
+      const Shuffle::Unit& u = sh.units[i];
+      if (!output_host_healthy(u.host) || u.corrupt) continue;
+      out.push_back({key, static_cast<int>(i), u.host});
     }
   }
   std::sort(out.begin(), out.end(),
@@ -1404,56 +1336,49 @@ TaskPlan DagScheduler::plan_task(const StageRun& stage, const TaskSpec& task,
   // Shuffle fetch feasibility: if any map output this task must read sits
   // on a dead/partitioned host (or is gone entirely), the task cannot
   // complete — it burns its connection retries and raises FetchFailed.
-  for (const auto& edge : stage.chain.shuffle_deps) {
-    const ShuffleKey key = edge.key();
-    const auto oit = map_outputs_.find(key);
-    if (oit == map_outputs_.end()) continue;  // pre-tracking shuffle
-    for (const ServerId h : oit->second) {
-      if (output_host_healthy(h)) continue;
+  for (Shuffle* sh : stage.inputs) {
+    bool any_corrupt = false;
+    for (const Shuffle::Unit& u : sh->units) {
+      any_corrupt |= u.corrupt;
+      if (output_host_healthy(u.host)) continue;
       TaskPlan failed;
-      failed.fetch_failure = TaskPlan::FetchFailure{key, h};
+      failed.fetch_failure = TaskPlan::FetchFailure{sh->edge.key(), u.host};
       return failed;
     }
-    if (map_output_corrupt_.empty()) continue;
-    const auto cit = map_output_corrupt_.find(key);
-    if (cit == map_output_corrupt_.end()) continue;
+    if (!any_corrupt) continue;
     if (options_.faults.verify_reads) {
       // Verified fetch: a checksum mismatch surfaces as FetchFailed, the
       // same path a lost host takes (corrupt-fetch-as-FetchFailed). Every
       // corrupt unit of the shuffle is invalidated at once — a reduce task
       // fetches them all anyway — so a single resubmission round
       // regenerates them instead of burning one stage attempt per unit.
+      const ShuffleKey key = sh->edge.key();
       ServerId first_bad = kInvalidId;
-      for (std::size_t i = 0;
-           i < cit->second.size() && i < oit->second.size(); ++i) {
-        if (!cit->second[i]) continue;
-        const ServerId host = oit->second[i];
+      for (std::size_t i = 0; i < sh->units.size(); ++i) {
+        if (!sh->units[i].corrupt) continue;
+        const ServerId host = sh->units[i].host;
         note_corruption_detected(host, key.child, static_cast<int>(i),
                                  /*bytes=*/0.0, /*shuffle=*/true);
-        pending_shuffle_repair_[key].insert(static_cast<int>(i));
-        cit->second[i] = 0;
-        oit->second[i] = kInvalidId;
+        sh->mark_repair_pending(i);
+        sh->invalidate(i);
         if (first_bad == kInvalidId) first_bad = host;
       }
-      if (first_bad != kInvalidId) {
-        // The shuffle is no longer complete; on_task_failed's
-        // shuffle_healthy check must see that (stale-epoch filtering
-        // would otherwise swallow this failure — the host is alive).
-        shuffle_done_.erase(key);
-        TaskPlan failed;
-        failed.fetch_failure = TaskPlan::FetchFailure{key, first_bad};
-        return failed;
-      }
-    } else {
-      for (const char c : cit->second) {
-        if (c) ++stats_.corrupt_reads_undetected;
-      }
+      // The shuffle is no longer complete; on_task_failed's
+      // shuffle_healthy check must see that (stale-epoch filtering would
+      // otherwise swallow this failure — the host is alive).
+      sh->mark_incomplete();
+      TaskPlan failed;
+      failed.fetch_failure = TaskPlan::FetchFailure{key, first_bad};
+      return failed;
+    }
+    for (const Shuffle::Unit& u : sh->units) {
+      if (u.corrupt) ++stats_.corrupt_reads_undetected;
     }
   }
   TaskPlan plan;
   for (int p = task.lo; p < task.hi; ++p) {
     plan_chain(stage.boundary, p, server, stage.boundary->id(), plan);
-    if (stage.output.has_value()) {
+    if (stage.output != nullptr) {
       // Shuffle-map side: bucket the partition by the child's partitioner
       // and commit map outputs to persistent storage.
       const Bytes out =
@@ -1540,13 +1465,11 @@ void DagScheduler::apply_source_slowness(const StageRun& stage,
   // The plan already failed fast if any host were dead, so these are live.
   auto& hosts = hedge_hosts_scratch_;
   hosts.clear();
-  for (const auto& edge : stage.chain.shuffle_deps) {
-    const auto oit = map_outputs_.find(edge.key());
-    if (oit == map_outputs_.end()) continue;
-    for (const ServerId h : oit->second) {
-      if (h == kInvalidId) continue;
-      if (std::find(hosts.begin(), hosts.end(), h) == hosts.end()) {
-        hosts.push_back(h);
+  for (const Shuffle* sh : stage.inputs) {
+    for (const Shuffle::Unit& u : sh->units) {
+      if (u.host == kInvalidId) continue;
+      if (std::find(hosts.begin(), hosts.end(), u.host) == hosts.end()) {
+        hosts.push_back(u.host);
       }
     }
   }
@@ -1641,7 +1564,8 @@ void DagScheduler::checkpoint_now(const DatasetPtr& ds) {
 }
 
 bool DagScheduler::is_checkpointed(DatasetId id) const noexcept {
-  return checkpointed_.contains(id);
+  // Nothing checkpointed is the common case: skip the hash entirely.
+  return !checkpointed_.empty() && checkpointed_.contains(id);
 }
 
 Bytes DagScheduler::checkpoint_cost(const Dataset& ds) const {
@@ -1789,7 +1713,8 @@ void DagScheduler::handle_server_failure(ServerId s) {
 }
 
 bool DagScheduler::shuffle_materialized(const ShuffleKey& key) const {
-  return shuffle_done_.contains(key);
+  const auto it = shuffles_.find(key);
+  return it != shuffles_.end() && it->second.done();
 }
 
 }  // namespace stark

@@ -13,10 +13,15 @@
 //    partitions.
 //
 // Failure semantics (MapOutputTracker + DAGScheduler resubmission):
-//  * Map-output locations are tracked per shuffle. Losing an executor
-//    invalidates the map outputs it hosted; reduce tasks that try to fetch
-//    them raise FetchFailed, the reduce task parks, and the map stage is
-//    resubmitted for just the lost units (bounded by max_stage_attempts).
+//  * Each shuffle has one record (DagScheduler::Shuffle): its producer
+//    edge, whether its map stage is building or done, the reduce stages
+//    waiting on it or parked on a FetchFailed, and per map unit the host,
+//    a corrupt flag and a pending-repair flag. Stages hold pointers to the
+//    records they write and read, so the task path hashes no ShuffleKey.
+//    Losing an executor invalidates the map outputs it hosted; reduce tasks
+//    that try to fetch them raise FetchFailed, the reduce task parks, and
+//    the map stage is resubmitted for just the lost units (bounded by
+//    max_stage_attempts).
 //  * Exhausted task retries or stage attempts abort the job cleanly:
 //    JobResult.completed=false with a failure_reason, callbacks still fire,
 //    and any map stage another job was waiting on is re-homed so the other
@@ -24,7 +29,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -271,12 +275,60 @@ class DagScheduler {
 
  private:
   struct Job;
+  struct StageRun;
+  // MapOutputTracker: everything the engine knows about one shuffle.
+  // Records are created by build_stage and never erased, so the
+  // unordered_map's node stability keeps every Shuffle* valid for the
+  // scheduler's lifetime. The edge holds a strong DatasetPtr to the child.
+  struct Shuffle {
+    // kBuilding and kDone exclude each other: a map stage is built only
+    // while the shuffle is not done, and completing it ends the build.
+    enum class State { kIdle, kBuilding, kDone };
+    struct Unit {
+      ServerId host = kInvalidId;  // kInvalidId = lost / never built
+      bool corrupt = false;        // stored output has a bad checksum tag
+    };
+    ShuffleEdge edge;  // the producer, for resubmission
+    State state = State::kIdle;
+    // Reduce stages waiting for the map stage to finish, and launched
+    // reduce stages parked on a FetchFailed until it finishes again.
+    std::vector<StageRun*> waiters;
+    std::vector<StageRun*> fetch_waiters;
+    // Sized per map launch; empty until the map stage first launches.
+    std::vector<Unit> units;
+    // Units whose detected corruption awaits a clean re-registration.
+    // Indexed by unit and never shrunk, so it outlives a unit-count change.
+    std::vector<char> repair_pending;
+
+    bool done() const noexcept { return state == State::kDone; }
+    // Lost or corrupt outputs make a done shuffle incomplete again; a
+    // building one stays building.
+    void mark_incomplete() noexcept {
+      if (state == State::kDone) state = State::kIdle;
+    }
+    // Forget the unit's output; its corruption goes with it.
+    void invalidate(std::size_t i) noexcept { units[i] = Unit{}; }
+    // A fresh, clean output for unit i. Returns true when this settles a
+    // detected corruption (a repair).
+    bool register_output(std::size_t i, ServerId host) noexcept {
+      units[i] = Unit{host, false};
+      if (i >= repair_pending.size() || !repair_pending[i]) return false;
+      repair_pending[i] = 0;
+      return true;
+    }
+    void mark_repair_pending(std::size_t i) {
+      if (repair_pending.size() <= i) repair_pending.resize(i + 1, 0);
+      repair_pending[i] = 1;
+    }
+  };
   struct StageRun {
     StageId id = kInvalidId;
     Job* job = nullptr;
     DatasetPtr boundary;
     StageChain chain;
-    std::optional<ShuffleEdge> output;  // set for shuffle-map stages
+    Shuffle* output = nullptr;  // set for shuffle-map stages
+    // The record of each chain.shuffle_deps entry, in the same order.
+    std::vector<Shuffle*> inputs;
     int waiting_parents = 0;
     bool launched = false;
     // Consecutive attempts (spark.stage.maxConsecutiveAttempts): bumped on
@@ -346,7 +398,7 @@ class DagScheduler {
   OverloadStats& tenant_stats(TenantId tenant);
 
   StageRun* build_stage(Job& job, const DatasetPtr& boundary,
-                        std::optional<ShuffleEdge> output);
+                        Shuffle* output);
   void maybe_launch(StageRun& stage);
   void on_stage_complete(StageRun& stage);
   void collect_stage_breakdowns(Job& job);
@@ -359,13 +411,13 @@ class DagScheduler {
                  JobStatus status = JobStatus::kFailed);
   TaskFailureAction on_task_failed(StageRun& stage, const TaskSpec& task,
                                    const TaskFailure& failure);
-  // Builds (or rebuilds) the map stage for `key` under `owner` and launches
+  // Builds (or rebuilds) the map stage for `sh` under `owner` and launches
   // whatever became ready.
-  void rebuild_shuffle(const ShuffleKey& key, Job& owner);
+  void rebuild_shuffle(Shuffle& sh, Job& owner);
   // The map-output host is usable for fetches right now.
   bool output_host_healthy(ServerId s) const;
   // Every registered output of the shuffle sits on a live, reachable host.
-  bool shuffle_healthy(const ShuffleKey& key) const;
+  bool shuffle_healthy(const Shuffle& sh) const;
   // Appends the unit's NODE_LOCAL candidates to `out` (a task set's flat
   // preferred-server array).
   void preferred_servers(const StageRun& stage, int unit_id, int lo, int hi,
@@ -391,9 +443,6 @@ class DagScheduler {
   // untouched (byte-identity).
   void install_insert_filter();
   double recovery_chain_delay(const DatasetPtr& ds, int partition) const;
-  // Corrupt-flag vector for a shuffle, resized to n units on demand.
-  std::vector<char>& corrupt_flags(const ShuffleKey& key, std::size_t n);
-  void clear_corrupt_flag(const ShuffleKey& key, std::size_t unit);
   // Detection bookkeeping shared by the cache probe, spill read and fetch
   // paths: counter, quarantine charge, trace event.
   void note_corruption_detected(ServerId host, DatasetId dataset,
@@ -425,32 +474,10 @@ class DagScheduler {
 
   std::unordered_map<JobId, std::unique_ptr<Job>> jobs_;
   std::unordered_map<JobId, JobResult> results_;
-  std::unordered_set<ShuffleKey, ShuffleKeyHash> shuffle_done_;
-  // Shuffles with a map stage built (possibly by another job) but not yet
-  // materialized, with the stages waiting on them.
-  std::unordered_map<ShuffleKey, std::vector<StageRun*>, ShuffleKeyHash>
-      shuffle_waiters_;
-  std::unordered_set<ShuffleKey, ShuffleKeyHash> shuffle_building_;
-  // MapOutputTracker: which executor hosts each map unit's output
-  // (kInvalidId = lost / never built). Sized per shuffle at map launch.
-  std::unordered_map<ShuffleKey, std::vector<ServerId>, ShuffleKeyHash>
-      map_outputs_;
-  // Producer edge for each shuffle ever built, for resubmission.
-  std::unordered_map<ShuffleKey, ShuffleEdge, ShuffleKeyHash> shuffle_edges_;
-  // Launched reduce stages parked on a FetchFailed shuffle; unparked when
-  // the resubmitted map stage completes.
-  std::unordered_map<ShuffleKey, std::vector<StageRun*>, ShuffleKeyHash>
-      fetch_waiters_;
-  // Integrity shadow of map_outputs_: nonzero means the unit's stored
-  // output has a bad checksum tag. Cleared whenever the unit is
-  // (re)registered or its host entry is invalidated.
-  std::unordered_map<ShuffleKey, std::vector<char>, ShuffleKeyHash>
-      map_output_corrupt_;
-  // Detected-corrupt identities awaiting a clean rewrite; a later block
-  // insert / map-output registration counts as corruptions_repaired.
+  std::unordered_map<ShuffleKey, Shuffle, ShuffleKeyHash> shuffles_;
+  // Detected-corrupt blocks awaiting a clean rewrite; a later block insert
+  // counts as corruptions_repaired.
   std::unordered_set<BlockId, BlockIdHash> pending_block_repair_;
-  std::unordered_map<ShuffleKey, std::unordered_set<int>, ShuffleKeyHash>
-      pending_shuffle_repair_;
   FailureStats stats_;
   CacheStats cache_stats_;
   // Fail-slow scorecards; constructed only when faults.slowness.enabled

@@ -136,6 +136,41 @@ TEST(Deadline, FiresWhileEveryExecutorIsQuarantined) {
   EXPECT_TRUE(ctx.count(ds).completed);
 }
 
+// Job A builds a shuffle's map stage; job B, submitted while that stage
+// is still running, waits on it. A's deadline aborts it mid-build: the
+// orphaned map stage is re-homed under B (one resubmission), so B still
+// completes, the shuffle ends materialized and nothing is left pending.
+TEST(Deadline, AbortedBuilderRehomesTheShuffleAnotherJobWaitsOn) {
+  Context ctx(opts(0.0));
+  auto part = ctx.collection_partitioner(8, 256);
+  auto ds = ctx.ingest("d", hist(), part, "logs", {.materialize = false});
+  const ShuffleKey key{ds->id(), 0};
+  DagScheduler& dag = ctx.dag();
+  JobResult a;
+  JobResult b;
+  int done = 0;
+  dag.submit(ds, ActionType::kCount, {.deadline_seconds = 0.05},
+             [&](const JobResult& r) {
+               a = r;
+               ++done;
+             });
+  dag.submit(ds->map_values(), ActionType::kCount, {},
+             [&](const JobResult& r) {
+               b = r;
+               ++done;
+             });
+  EXPECT_FALSE(dag.shuffle_materialized(key));
+  const auto resubmissions = dag.failure_stats().stage_resubmissions;
+  ctx.sim().run();
+  ASSERT_EQ(done, 2);
+  EXPECT_EQ(a.status, JobStatus::kDeadlineExceeded);
+  EXPECT_TRUE(b.completed);
+  EXPECT_EQ(dag.failure_stats().stage_resubmissions, resubmissions + 1);
+  EXPECT_TRUE(dag.shuffle_materialized(key));
+  EXPECT_EQ(dag.active_jobs(), 0);
+  EXPECT_EQ(dag.tasks().pending_task_sets(), 0u);
+}
+
 TEST(Deadline, AbortReleasesLineageRefcounts) {
   Context ctx(opts(1.0));
   auto part = ctx.collection_partitioner(8, 256);
